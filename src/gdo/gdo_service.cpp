@@ -1261,6 +1261,17 @@ GdoEntry GdoService::snapshot(ObjectId id) const {
       const_cast<FlatMap<ObjectId, GdoEntry>&>(map), id, r, "snapshot");
 }
 
+Lsn GdoService::version_counter(ObjectId id) const {
+  const Route r = route(id);
+  const Partition& part = partitions_[r.partition];
+  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
+  const auto& map = r.failover ? part.mirrors : part.entries;
+  return const_cast<GdoService*>(this)
+      ->find_serving(const_cast<FlatMap<ObjectId, GdoEntry>&>(map), id, r,
+                     "version_counter")
+      .version_counter;
+}
+
 std::size_t GdoService::num_objects() const {
   std::size_t n = 0;
   for (const auto& part : partitions_) {

@@ -282,6 +282,10 @@ class GdoService {
   BatchReleaseResult release_batch(FamilyId family, NodeId node,
                                    const std::vector<ReleaseItem>& items);
 
+  /// The entry's version_counter alone, read under the same route and lock
+  /// as snapshot() without copying the entry (the commit path's hot read).
+  [[nodiscard]] Lsn version_counter(ObjectId id) const;
+
   /// Remove a family's queued request (deadlock victim / cancelled txn).
   /// May unblock other waiters, which are granted and returned.
   std::vector<Grant> cancel_waiter(ObjectId id, FamilyId family);
@@ -441,8 +445,8 @@ class GdoService {
   /// Elastic-directory state, allocated only when config_.ring.enabled —
   /// the knob-off path never touches it (bit-identity contract).
   struct RingState {
-    /// Guards everything below.  Ring mode requires the deterministic
-    /// scheduler, so contention is nil; the lock keeps the introspection
+    /// Guards everything below.  The token scheduler runs one family at a
+    /// time, so contention is nil; the lock keeps the introspection
     /// accessors safe from arbitrary threads.
     mutable std::mutex mu;
     /// Ring per placement epoch: history[e] is the membership a node whose

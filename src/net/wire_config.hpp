@@ -14,9 +14,8 @@ struct WireConfig {
   /// Run the cluster as real OS processes: one lotec_worker per node,
   /// joined by Unix-domain sockets (TCP with `tcp`), with every accounted
   /// message shipped coordinator -> src worker -> dst worker and
-  /// acknowledged back.  Requires the deterministic scheduler and is
-  /// mutually exclusive with the deterministic-only seams (schedule
-  /// exploration, check sinks, FaultEngine message faults).
+  /// acknowledged back.  Mutually exclusive with the in-process-only seams
+  /// (schedule exploration, check sinks, FaultEngine message faults).
   bool enabled = false;
   /// Use TCP loopback sockets instead of Unix-domain sockets.
   bool tcp = false;

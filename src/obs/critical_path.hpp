@@ -8,8 +8,7 @@
 //
 //   - per-phase SELF-time attribution: each span's duration minus the part
 //     covered by its children, so the per-phase totals sum to the root's
-//     wall time (exactly under well-nested spans; "within rounding" when
-//     concurrent-scheduler interleavings overlap siblings);
+//     wall time (exactly under well-nested spans);
 //   - the longest blocking chain: from the root, repeatedly descend into
 //     the child with the largest duration;
 //   - per-message-kind cost: count and accounted bytes of every message

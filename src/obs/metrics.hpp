@@ -74,8 +74,8 @@ struct HistogramSnapshot {
 };
 
 /// Fixed-bucket latency histogram over logical-tick durations.  Recording
-/// takes a leaf mutex — histogram samples come from span ends, which are
-/// serialized under the deterministic scheduler and rare otherwise.
+/// takes a leaf mutex — histogram samples come from span ends, which the
+/// token scheduler serializes.
 class LatencyHistogram {
  public:
   void record(std::uint64_t ticks) noexcept;

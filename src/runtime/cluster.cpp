@@ -74,19 +74,10 @@ std::vector<TxnResult> Cluster::execute(std::vector<RootRequest> requests) {
   }
   ++execute_count_;
 
-  std::unique_ptr<Scheduler> scheduler;
-  if (core_.config.scheduler == SchedulerMode::kDeterministic) {
-    TokenScheduler::Config sc;
-    sc.seed = mix64(core_.config.seed ^ execute_count_);
-    sc.max_active = core_.config.max_active_families;
-    sc.picker = core_.config.schedule_picker;
-    scheduler = std::make_unique<TokenScheduler>(sc);
-  } else {
-    ConcurrentScheduler::Config sc;
-    sc.max_active = core_.config.max_active_families;
-    scheduler = std::make_unique<ConcurrentScheduler>(sc);
-  }
-  core_.scheduler = scheduler.get();
+  TokenScheduler scheduler({.seed = mix64(core_.config.seed ^ execute_count_),
+                            .max_active = core_.config.max_active_families,
+                            .picker = core_.config.schedule_picker});
+  core_.scheduler = &scheduler;
   core_.gdo.set_grant_delivery(
       [this](const Grant& g) { core_.deliver_grant(g); });
 
@@ -130,7 +121,7 @@ std::vector<TxnResult> Cluster::execute(std::vector<RootRequest> requests) {
       if (core_.fault != nullptr)
         for (const auto& r : runners)
           if (r->blocked()) return r->index();
-      return Scheduler::kNoVictim;
+      return TokenScheduler::kNoVictim;
     }
     FamilyId victim = cycle->victim;
     int best = victim_counts->count(victim) ? (*victim_counts)[victim] : 0;
@@ -150,12 +141,12 @@ std::vector<TxnResult> Cluster::execute(std::vector<RootRequest> requests) {
     }
     std::lock_guard<std::mutex> lock(core_.fam_mu);
     const auto it = core_.runners.find(victim);
-    if (it == core_.runners.end()) return Scheduler::kNoVictim;
+    if (it == core_.runners.end()) return TokenScheduler::kNoVictim;
     return it->second->index();
   };
 
   try {
-    scheduler->run(std::move(bodies), on_stall);
+    scheduler.run(std::move(bodies), on_stall);
   } catch (...) {
     core_.gdo.set_grant_delivery(nullptr);
     core_.scheduler = nullptr;

@@ -58,22 +58,11 @@ void ClusterConfig::validate() const {
     throw UsageError(
         "ClusterConfig: spans_jsonl/chrome_trace name span output files "
         "but trace_spans is off — set trace_spans = true to record spans");
-  if (fault.enabled()) {
-    if (scheduler != SchedulerMode::kDeterministic)
-      throw UsageError(
-          "ClusterConfig: fault injection requires the deterministic "
-          "scheduler (fault traces are defined over the token order)");
-    if (fault.has_node_faults() && !gdo.replicate)
-      throw UsageError(
-          "ClusterConfig: node crash/restart faults require gdo.replicate "
-          "(directory state must survive its home node)");
-  }
+  if (fault.has_node_faults() && !gdo.replicate)
+    throw UsageError(
+        "ClusterConfig: node crash/restart faults require gdo.replicate "
+        "(directory state must survive its home node)");
   if (mv_read) {
-    if (scheduler != SchedulerMode::kDeterministic)
-      throw UsageError(
-          "ClusterConfig: mv_read requires the deterministic scheduler "
-          "(commit-tick allocation and publication must be atomic over the "
-          "token order)");
     if (lock_cache)
       throw UsageError(
           "ClusterConfig: mv_read cannot be combined with lock_cache — "
@@ -95,18 +84,6 @@ void ClusterConfig::validate() const {
           "ClusterConfig: mv_read requires mv_version_ring >= 1 (a reader "
           "overlapping a writer needs at least the before-image retained)");
   }
-  if (lock_cache && scheduler != SchedulerMode::kDeterministic)
-    throw UsageError(
-        "ClusterConfig: lock_cache requires the deterministic scheduler "
-        "(callback revocation is serialized with the token order)");
-  if (schedule_picker && scheduler != SchedulerMode::kDeterministic)
-    throw UsageError(
-        "ClusterConfig: schedule_picker requires the deterministic "
-        "scheduler (decision points exist only in the token order)");
-  if (check_sink != nullptr && scheduler != SchedulerMode::kDeterministic)
-    throw UsageError(
-        "ClusterConfig: check_sink requires the deterministic scheduler "
-        "(invariant oracles assume a linearized event stream)");
   if (net.batch_messages && fault.enabled())
     throw UsageError(
         "ClusterConfig: net.batch_messages cannot be combined with fault "
@@ -114,11 +91,6 @@ void ClusterConfig::validate() const {
         "which would mask per-message fault verdicts; run faults with "
         "batching off");
   if (gdo.ring.enabled) {
-    if (scheduler != SchedulerMode::kDeterministic)
-      throw UsageError(
-          "ClusterConfig: the elastic directory (gdo.ring) requires the "
-          "deterministic scheduler — shard migration interleaves with "
-          "family execution and is defined over the token order");
     if (!gdo.replicate)
       throw UsageError(
           "ClusterConfig: the elastic directory (gdo.ring) requires "
@@ -174,11 +146,6 @@ void ClusterConfig::validate() const {
           std::to_string(nodes - 1) + ")");
   }
   if (wire.enabled) {
-    if (scheduler != SchedulerMode::kDeterministic)
-      throw UsageError(
-          "ClusterConfig: the wire transport (--distributed) requires the "
-          "deterministic scheduler — drop --concurrent, the worker fleet "
-          "mirrors the deterministic token order");
     if (schedule_picker)
       throw UsageError(
           "ClusterConfig: the wire transport (--distributed) cannot be "

@@ -37,15 +37,6 @@ enum class FamilyKind : std::uint8_t { kReadWrite, kReadOnly };
   return "?";
 }
 
-enum class SchedulerMode : std::uint8_t {
-  /// Token-passing cooperative scheduling; identical seeds give identical
-  /// traces.  Used by every benchmark and property test.
-  kDeterministic,
-  /// Free-running threads (real parallelism) with watchdog-driven deadlock
-  /// detection.
-  kConcurrent
-};
-
 struct ClusterConfig {
   /// Number of nodes (sites) in the distributed system.
   std::size_t nodes = 4;
@@ -58,15 +49,14 @@ struct ClusterConfig {
   GdoConfig gdo;
   NetworkConfig net;
   /// Deterministic fault injection (crashes, restarts, partitions, message
-  /// chaos).  Requires the deterministic scheduler; node faults additionally
-  /// require gdo.replicate so directory state survives its home.
+  /// chaos).  Node faults require gdo.replicate so directory state
+  /// survives its home.
   FaultConfig fault;
-  SchedulerMode scheduler = SchedulerMode::kDeterministic;
   /// Cross-process wire transport (src/wire): run one lotec_worker OS
   /// process per node and ship every accounted message over real sockets.
-  /// Requires the deterministic scheduler; incompatible with schedule
-  /// exploration, check sinks and FaultEngine *message* faults (crash/
-  /// restart and partitions work — worker processes really die).
+  /// Incompatible with schedule exploration, check sinks and FaultEngine
+  /// *message* faults (crash/restart and partitions work — worker processes
+  /// really die).
   WireConfig wire;
   /// Seed for every random decision (scheduling, workload bodies).
   std::uint64_t seed = 1;
@@ -81,8 +71,7 @@ struct ClusterConfig {
   /// Inter-family lock caching (callback locking): a site retains its
   /// global locks across family lifetimes and re-grants them locally with
   /// zero messages; conflicting remote requests revoke them via a callback
-  /// round.  Off by default — the paper's figures are produced without it —
-  /// and requires the deterministic scheduler.
+  /// round.  Off by default — the paper's figures are produced without it.
   bool lock_cache = false;
   /// Cached global locks kept per site; 0 = unbounded.  Beyond the budget
   /// the least-recently-used cached lock is flushed back to the directory.
@@ -93,9 +82,8 @@ struct ClusterConfig {
   /// unconditionally (they ride existing frames and map entries at zero
   /// modeled wire cost, like the PR 5 trace context in frame padding), so
   /// with this off the wire traffic is bit-identical — only the read path
-  /// is gated.  Requires the deterministic scheduler; incompatible with
-  /// lock_cache (deferred stamping publishes versions without ticks), the
-  /// wire transport, and fault injection.
+  /// is gated.  Incompatible with lock_cache (deferred stamping publishes
+  /// versions without ticks), the wire transport, and fault injection.
   bool mv_read = false;
   /// Committed versions retained per page beyond the live one when mv_read
   /// is on (the paper-side bound on snapshot lag).  GC additionally fences
@@ -112,12 +100,11 @@ struct ClusterConfig {
   ObsConfig obs;
   /// Controlled scheduling (src/check): when set, replaces the token
   /// scheduler's seeded RNG at every decision point with more than one
-  /// choice.  Requires the deterministic scheduler.
+  /// choice.
   SchedulePicker schedule_picker;
   /// Invariant-oracle event sink (src/check).  Not owned; must outlive the
   /// cluster.  Null (the default) costs one pointer comparison per emission
-  /// point and leaves message traffic bit-identical.  Requires the
-  /// deterministic scheduler (oracles assume a linearized event stream).
+  /// point and leaves message traffic bit-identical.
   CheckSink* check_sink = nullptr;
   /// Test-only correctness mutations, hidden behind this struct so no
   /// production path flips them by accident.  The mutation tests in

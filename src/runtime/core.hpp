@@ -190,7 +190,7 @@ struct ClusterCore {
   std::unique_ptr<FaultEngine> fault;
 
   /// Live scheduler during an execute() run.
-  Scheduler* scheduler = nullptr;
+  TokenScheduler* scheduler = nullptr;
 
   mutable std::mutex obj_mu;
   FlatMap<ObjectId, ObjectMeta> objects;

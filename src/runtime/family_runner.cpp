@@ -460,6 +460,16 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
       summary.needs_write_lock ? LockMode::kWrite : LockMode::kRead;
   const LocalAcquireOutcome outcome =
       family_.locks().try_local_acquire(txn, object, mode);
+  // Bring in the predicted pages the (now held) lock's page map marks
+  // stale here.
+  const auto fetch_predicted = [&] {
+    ObjectImage& img = local_image(object);
+    const PageSet fetch =
+        core_.protocol_for(core_.meta_of(object))
+            .pages_to_transfer(node_, img, object_maps_.at(object),
+                               summary.predicted_pages);
+    fetch_pages(object, img, fetch, /*demand=*/false);
+  };
 
   if (outcome == LocalAcquireOutcome::kGranted) {
     core_.transport.record_local_lock_op();
@@ -476,10 +486,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
     // first transfer skipped; they are still described accurately by the
     // cached page map (no other family can have changed them while the
     // family holds the lock).
-    ObjectImage& img = local_image(object);
-    const PageSet fetch = core_.protocol_for(core_.meta_of(object)).pages_to_transfer(
-        node_, img, object_maps_.at(object), summary.predicted_pages);
-    fetch_pages(object, img, fetch, /*demand=*/false);
+    fetch_predicted();
     return;
   }
 
@@ -487,10 +494,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
   // site re-activates with zero network messages.
   if (outcome == LocalAcquireOutcome::kNeedGlobal &&
       try_cache_regrant(txn, object, mode, /*prefetch=*/false)) {
-    ObjectImage& img = local_image(object);
-    const PageSet fetch = core_.protocol_for(core_.meta_of(object)).pages_to_transfer(
-        node_, img, object_maps_.at(object), summary.predicted_pages);
-    fetch_pages(object, img, fetch, /*demand=*/false);
+    fetch_predicted();
     return;
   }
 
@@ -498,6 +502,15 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
   ScopedSpan gdo_round(&core_.obs.tracer, SpanPhase::kGdoRound,
                        family_.id().value(), node_.value(), object.value());
   core_.scheduler->preempt(index_);  // interleaving point at a global op
+  // Another family of this site may have cached the lock while we were
+  // preempted.  The directory drops this site's own marker on acquire, so
+  // that entry must be re-granted (or flushed) here, or its deferred
+  // report would be lost.
+  if (outcome == LocalAcquireOutcome::kNeedGlobal &&
+      try_cache_regrant(txn, object, mode, /*prefetch=*/false)) {
+    fetch_predicted();
+    return;
+  }
   AcquireResult res = core_.gdo.acquire(object, txn.id(), node_, mode);
   bool upgrade = outcome == LocalAcquireOutcome::kNeedUpgrade;
   PageMap granted_map;
@@ -538,10 +551,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
     mine.touch(object);
   }
 
-  ObjectImage& img = local_image(object);
-  const PageSet fetch = core_.protocol_for(core_.meta_of(object)).pages_to_transfer(
-      node_, img, object_maps_.at(object), summary.predicted_pages);
-  fetch_pages(object, img, fetch, /*demand=*/false);
+  fetch_predicted();
 }
 
 void FamilyRunner::run_prefetch(const Transaction& root) {
@@ -559,16 +569,25 @@ void FamilyRunner::run_prefetch(const Transaction& root) {
         core_.registry.get(meta.cls).summary(method);
     const LockMode mode =
         summary.needs_write_lock ? LockMode::kWrite : LockMode::kRead;
-    if (try_cache_regrant(root, object, mode, /*prefetch=*/true)) {
+    const auto fetch_predicted = [&] {
       ObjectImage& img = local_image(object);
       const PageSet fetch = core_.protocol_for(meta).pages_to_transfer(
           node_, img, object_maps_.at(object), summary.predicted_pages);
       fetch_pages(object, img, fetch, /*demand=*/false);
+    };
+    if (try_cache_regrant(root, object, mode, /*prefetch=*/true)) {
+      fetch_predicted();
+      continue;
+    }
+
+    core_.scheduler->preempt(index_);
+    // As in acquire_for: a lock this site cached while we were preempted
+    // is re-granted (or flushed) before the directory drops its marker.
+    if (try_cache_regrant(root, object, mode, /*prefetch=*/true)) {
+      fetch_predicted();
       continue;
     }
     any_remote = any_remote || core_.gdo.home_of(object) != node_;
-
-    core_.scheduler->preempt(index_);
     AcquireResult res = core_.gdo.acquire(object, root.id(), node_, mode);
     PageMap granted_map;
     if (res.status == AcquireStatus::kQueued) {
@@ -778,9 +797,6 @@ void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
         image.install_page(p, std::move(page));
       }
       for (auto& [p, patch] : patched) {
-        // A raced eviction of the base copy (concurrent mode) voids the
-        // patch; the freshness check re-fetches the full page on demand.
-        if (!image.has_page(p)) continue;
         patch.version = std::max(patch.version, map.at(p).version);
         image.patch_page(p, patch);
         map.record_current(p, node_, image.page_version(p));
@@ -1151,7 +1167,7 @@ void FamilyRunner::broken_retention_release(Transaction& txn) {
   for (const ObjectId object : to_release) {
     object_maps_.erase(object);
     const std::size_t npages = core_.meta_of(object).num_pages;
-    const Lsn next = core_.gdo.snapshot(object).version_counter + 1;
+    const Lsn next = core_.gdo.version_counter(object) + 1;
     ReleaseItem item{object, ReleaseInfo{}};
     {
       std::lock_guard<std::mutex> lock(mine.store_mu);
@@ -1195,8 +1211,10 @@ void FamilyRunner::abort_family(AbortReason /*reason*/) {
     (void)core_.gdo.cancel_waiter(blocked_on_, family_.id());
     blocked_on_ = ObjectId{};
   }
-  // A grant may have raced with victimization (concurrent mode): the GDO
-  // already lists us as a holder even though the lock table does not.
+  // Fault injection only: when cancel_waiter could not reach the directory
+  // entry, transient_retry drops local state with our waiter still queued.
+  // Its grant can then land on a later attempt: the GDO already lists us as
+  // a holder even though the lock table does not.
   if (pending_grant_) {
     const ObjectId object = pending_grant_->object;
     pending_grant_.reset();
@@ -1224,12 +1242,13 @@ void FamilyRunner::release_all(bool commit) {
     items.push_back(make_release_item(object, commit));
   }
 
-  // Stamp new page versions BEFORE the directory publishes them so a woken
-  // family never fetches a page whose stamp lags (concurrent mode).  The
-  // version values must match what the GDO will assign: it increments the
-  // per-object counter exactly when the dirty set is non-empty — after
-  // catching up to any deferred flush folded into the release — so we
-  // pre-compute by peeking the entry's counter.
+  // Stamp new page versions BEFORE the directory publishes them: the RC
+  // push below ships the stamped pages, and the durable journal and the
+  // check sink must see each stamp before its release.  The version values
+  // must match what the GDO will assign: it increments the per-object
+  // counter exactly when the dirty set is non-empty — after catching up to
+  // any deferred flush folded into the release — so we pre-compute by
+  // peeking the entry's counter.
   struct Stamped {
     ObjectId object;
     std::vector<std::pair<PageIndex, Page>> pages;
@@ -1248,7 +1267,7 @@ void FamilyRunner::release_all(bool commit) {
       if (commit_tick == 0) commit_tick = core_.gdo.allocate_commit_tick();
       item.info->commit_tick = commit_tick;
       const Lsn next =
-          std::max(core_.gdo.snapshot(item.object).version_counter,
+          std::max(core_.gdo.version_counter(item.object),
                    item.info->advance_to) + 1;
       const std::size_t npages = core_.meta_of(item.object).num_pages;
       std::lock_guard<std::mutex> lock(mine.store_mu);
@@ -1336,7 +1355,7 @@ bool FamilyRunner::try_retain(ObjectId object, bool commit) {
         // while releases are cached, so sequence locally above both the
         // counter and our own deferred maximum.
         const Lsn next =
-            std::max(core_.gdo.snapshot(object).version_counter,
+            std::max(core_.gdo.version_counter(object),
                      entry.max_version) + 1;
         const PageSet stamped = img->stamp_dirty(next);
         for (const PageIndex p : stamped.to_vector()) {

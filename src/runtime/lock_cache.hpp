@@ -19,8 +19,8 @@
 //
 // Locking: the internal mutex is a leaf — it is taken with a GDO partition
 // lock held (callback handler) and with a Node::store_mu held (capacity
-// checks), and never the other way around.  The lock_cache knob requires
-// the deterministic scheduler (see ClusterCore), so contention is nil.
+// checks), and never the other way around.  The token scheduler runs one
+// family at a time, so contention is nil.
 #pragma once
 
 #include <algorithm>

@@ -1,14 +1,8 @@
 #include "runtime/scheduler.hpp"
 
-#include <algorithm>
-
 #include "common/logging.hpp"
 
 namespace lotec {
-
-// ---------------------------------------------------------------------------
-// TokenScheduler
-// ---------------------------------------------------------------------------
 
 void TokenScheduler::run(std::vector<std::function<void()>> bodies,
                          StallHandler on_stall) {
@@ -180,111 +174,6 @@ void TokenScheduler::preempt(std::size_t idx) {
   current_ = kNone;
   schedule_next_locked();
   await_token_locked(lock, idx);
-}
-
-// ---------------------------------------------------------------------------
-// ConcurrentScheduler
-// ---------------------------------------------------------------------------
-
-void ConcurrentScheduler::run(std::vector<std::function<void()>> bodies,
-                              StallHandler on_stall) {
-  const std::size_t n = bodies.size();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    blocked_.assign(n, 0);
-    wake_flag_.assign(n, 0);
-    victim_.assign(n, 0);
-    cancelled_.store(false);
-    failure_.clear();
-  }
-
-  std::mutex pool_mu;
-  std::condition_variable pool_cv;
-  std::size_t active = 0;
-  std::vector<std::thread> threads;
-  threads.reserve(n);
-  std::atomic<bool> stop_watchdog{false};
-
-  std::thread watchdog([&] {
-    while (!stop_watchdog.load()) {
-      std::this_thread::sleep_for(config_.watchdog_period);
-      std::size_t victim = kNoVictim;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        const bool any_blocked =
-            std::any_of(blocked_.begin(), blocked_.end(),
-                        [](std::uint8_t b) { return b != 0; });
-        if (!any_blocked) continue;
-      }
-      if (on_stall) victim = on_stall();
-      if (victim == kNoVictim) continue;
-      std::lock_guard<std::mutex> lock(mu_);
-      if (victim < victim_.size() && blocked_[victim]) {
-        victim_[victim] = 1;
-        cv_.notify_all();
-      }
-    }
-  });
-
-  for (std::size_t i = 0; i < n; ++i) {
-    {
-      std::unique_lock<std::mutex> lock(pool_mu);
-      pool_cv.wait(lock, [&] { return active < config_.max_active; });
-      ++active;
-    }
-    threads.emplace_back([&, i] {
-      try {
-        bodies[i]();
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!cancelled_.load()) {
-          cancelled_.store(true);
-          failure_ = std::string("family body leaked exception: ") + e.what();
-        }
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!cancelled_.load()) {
-          cancelled_.store(true);
-          failure_ = "family body leaked a non-std exception";
-        }
-      }
-      std::lock_guard<std::mutex> lock(pool_mu);
-      --active;
-      pool_cv.notify_all();
-    });
-  }
-  for (auto& t : threads) t.join();
-  stop_watchdog.store(true);
-  watchdog.join();
-  if (cancelled_.load())
-    throw Error("ConcurrentScheduler: run failed: " + failure_);
-}
-
-void ConcurrentScheduler::block(std::size_t idx) {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (wake_flag_[idx]) {  // the wake won the race with our block
-    wake_flag_[idx] = 0;
-    return;
-  }
-  blocked_[idx] = 1;
-  cv_.wait(lock, [&] { return wake_flag_[idx] || victim_[idx]; });
-  blocked_[idx] = 0;
-  if (wake_flag_[idx]) {
-    // Prefer the grant over victimization: the cycle is already broken.
-    wake_flag_[idx] = 0;
-    victim_[idx] = 0;
-    return;
-  }
-  victim_[idx] = 0;
-  throw DeadlockVictimError(idx);
-}
-
-void ConcurrentScheduler::wake(std::size_t idx) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (idx >= wake_flag_.size())
-    throw UsageError("ConcurrentScheduler::wake: index out of range");
-  wake_flag_[idx] = 1;
-  cv_.notify_all();
 }
 
 }  // namespace lotec

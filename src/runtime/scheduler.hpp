@@ -1,27 +1,18 @@
-// Family schedulers.
+// Family scheduler.
 //
 // A transaction family executes as straight-line code (method bodies with
 // nested invocations) that can *block* mid-stack on a queued global lock
-// request, so each active family gets a dedicated thread.  Two scheduling
-// disciplines drive those threads:
-//
-//  * TokenScheduler — deterministic cooperative scheduling.  Exactly one
-//    family runs at a time; at every preemption point (global lock
-//    operations) a seeded RNG picks the next runnable family.  Identical
-//    seeds yield identical interleavings, which is what makes the benchmark
-//    traces and property tests reproducible.  When every active family is
-//    blocked, the stall callback picks a deadlock victim, which is woken
-//    with DeadlockVictimError thrown from its block() call.
-//
-//  * ConcurrentScheduler — free-running threads with real parallelism (for
-//    the runtime/examples).  Blocking uses condition variables; a watchdog
-//    invokes the stall callback when no family makes progress for a while.
-//
-// Both present the same interface to the family executor.
+// request, so each active family gets a dedicated thread.  TokenScheduler
+// drives those threads cooperatively: exactly one family runs at a time; at
+// every preemption point (global lock operations) a seeded RNG picks the
+// next runnable family.  Identical seeds yield identical interleavings,
+// which is what makes the benchmark traces and property tests reproducible.
+// When every active family is blocked, the stall callback picks a deadlock
+// victim, which is woken with DeadlockVictimError thrown from its block()
+// call.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -35,8 +26,8 @@
 
 namespace lotec {
 
-/// Thrown from Scheduler::block() in the blocked family's context when it
-/// is chosen as a deadlock victim.  The family executor catches it, rolls
+/// Thrown from TokenScheduler::block() in the blocked family's context when
+/// it is chosen as a deadlock victim.  The family executor catches it, rolls
 /// the family back and retries.
 class DeadlockVictimError {
  public:
@@ -46,38 +37,6 @@ class DeadlockVictimError {
 
  private:
   std::size_t index_;
-};
-
-class Scheduler {
- public:
-  /// Resolve a stall: return the family index to victimize (it must be a
-  /// currently blocked family), or npos if the stall is unexplainable
-  /// (fatal).  Runs with no family executing (TokenScheduler) or
-  /// concurrently with blocked families (ConcurrentScheduler).
-  using StallHandler = std::function<std::size_t()>;
-  static constexpr std::size_t kNoVictim = static_cast<std::size_t>(-1);
-
-  virtual ~Scheduler() = default;
-
-  /// Run all family bodies to completion.  `bodies[i]` executes family i;
-  /// bodies must not leak exceptions (the executor catches everything).
-  virtual void run(std::vector<std::function<void()>> bodies,
-                   StallHandler on_stall) = 0;
-
-  /// Called from family `idx`'s own thread: give up the processor until
-  /// wake(idx).  Throws DeadlockVictimError if victimized while blocked.
-  virtual void block(std::size_t idx) = 0;
-
-  /// Make a blocked family runnable (called from another family's thread
-  /// while it delivers lock-grant wakeups).  Idempotent.
-  virtual void wake(std::size_t idx) = 0;
-
-  /// Optional preemption point (called at global lock operations).
-  virtual void preempt(std::size_t idx) = 0;
-
-  /// True after an internal failure: executors should stop retrying and
-  /// finish so the scheduler can drain.
-  [[nodiscard]] virtual bool cancelled() const = 0;
 };
 
 /// Controlled-scheduling hook (src/check): replaces the TokenScheduler's
@@ -95,8 +54,13 @@ class Scheduler {
 using SchedulePicker = std::function<std::size_t(
     const std::vector<std::size_t>& runnable, std::size_t spawn_candidate)>;
 
-class TokenScheduler final : public Scheduler {
+class TokenScheduler {
  public:
+  /// Resolve a stall: return the family index to victimize (it must be a
+  /// currently blocked family), or kNoVictim if the stall is unexplainable
+  /// (fatal).  Runs with no family executing.
+  using StallHandler = std::function<std::size_t()>;
+  static constexpr std::size_t kNoVictim = static_cast<std::size_t>(-1);
   /// spawn_candidate value when no thread slot is free (see SchedulePicker).
   static constexpr std::size_t kNoSpawn = static_cast<std::size_t>(-1);
 
@@ -115,12 +79,26 @@ class TokenScheduler final : public Scheduler {
       throw UsageError("TokenScheduler: max_active must be >= 1");
   }
 
-  void run(std::vector<std::function<void()>> bodies,
-           StallHandler on_stall) override;
-  void block(std::size_t idx) override;
-  void wake(std::size_t idx) override;
-  void preempt(std::size_t idx) override;
-  [[nodiscard]] bool cancelled() const override {
+  /// Run all family bodies to completion.  `bodies[i]` executes family i;
+  /// bodies must not leak exceptions (the executor catches everything).
+  void run(std::vector<std::function<void()>> bodies, StallHandler on_stall);
+
+  /// Called from family `idx`'s own thread: give up the token until
+  /// wake(idx) and a later pick.  Throws DeadlockVictimError if victimized
+  /// while blocked.
+  void block(std::size_t idx);
+
+  /// Make a blocked family runnable (called from another family's thread
+  /// while it delivers lock-grant wakeups).  Idempotent.
+  void wake(std::size_t idx);
+
+  /// Preemption point (called at global lock operations): hand the token
+  /// to a seeded pick among the runnable families, possibly this one.
+  void preempt(std::size_t idx);
+
+  /// True after an internal failure: executors should stop retrying and
+  /// finish so the scheduler can drain.
+  [[nodiscard]] bool cancelled() const {
     return cancelled_.load(std::memory_order_relaxed);
   }
 
@@ -159,39 +137,6 @@ class TokenScheduler final : public Scheduler {
   std::string failure_;
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-};
-
-class ConcurrentScheduler final : public Scheduler {
- public:
-  struct Config {
-    std::size_t max_active = 16;
-    /// Watchdog period for stall (deadlock) detection.
-    std::chrono::milliseconds watchdog_period{20};
-  };
-
-  explicit ConcurrentScheduler(Config config) : config_(config) {
-    if (config_.max_active == 0)
-      throw UsageError("ConcurrentScheduler: max_active must be >= 1");
-  }
-
-  void run(std::vector<std::function<void()>> bodies,
-           StallHandler on_stall) override;
-  void block(std::size_t idx) override;
-  void wake(std::size_t idx) override;
-  void preempt(std::size_t /*idx*/) override {}  // real threads: no-op
-  [[nodiscard]] bool cancelled() const override {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
-
- private:
-  Config config_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::uint8_t> blocked_;   // family currently in block()
-  std::vector<std::uint8_t> wake_flag_; // wake arrived (possibly early)
-  std::vector<std::uint8_t> victim_;
-  std::atomic<bool> cancelled_{false};
-  std::string failure_;
 };
 
 }  // namespace lotec

@@ -32,15 +32,12 @@ WorkloadSpec property_spec(std::uint64_t seed) {
 /// Snapshot of every attribute of every workload object after the run.
 std::vector<std::int64_t> final_state(const Workload& workload,
                                       ProtocolKind protocol,
-                                      std::uint64_t cluster_seed,
-                                      SchedulerMode mode =
-                                          SchedulerMode::kDeterministic) {
+                                      std::uint64_t cluster_seed) {
   ClusterConfig cfg;
   cfg.nodes = 4;
   cfg.page_size = 256;
   cfg.protocol = protocol;
   cfg.seed = cluster_seed;
-  cfg.scheduler = mode;
   Cluster cluster(cfg);
   const auto results = cluster.execute(workload.instantiate(cluster));
   for (const auto& r : results) {
@@ -146,19 +143,6 @@ TEST_P(CrossProtocolTest, DeterministicRunsAreBitIdentical) {
   EXPECT_EQ(a.counter("txn.deadlock_retries"), b.counter("txn.deadlock_retries"));
   for (const ObjectId id : a.object_ids)
     EXPECT_EQ(a.object_traffic(id).bytes, b.object_traffic(id).bytes);
-}
-
-TEST_P(CrossProtocolTest, ConcurrentModeReachesAValidState) {
-  // The concurrent scheduler cannot promise the same interleaving, but the
-  // workload's effects are per-attribute increments, so every protocol and
-  // schedule with full commit must produce attribute values bounded by the
-  // number of writes — here we simply require full commit and equality
-  // between two protocols under the SAME (deterministic) schedule plus a
-  // successful concurrent run.
-  const Workload workload(property_spec(GetParam()));
-  const auto state = final_state(workload, ProtocolKind::kLotec, 1,
-                                 SchedulerMode::kConcurrent);
-  EXPECT_FALSE(state.empty()) << "concurrent run did not fully commit";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrossProtocolTest,

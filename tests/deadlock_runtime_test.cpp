@@ -1,6 +1,6 @@
 // End-to-end deadlock handling: constructed cross-family deadlocks are
 // detected, a victim is aborted and retried, and every family eventually
-// commits with intact state — under both scheduler disciplines.
+// commits with intact state.
 #include <gtest/gtest.h>
 
 #include "runtime/cluster.hpp"
@@ -14,15 +14,12 @@ struct TwoLockPlan {
   ObjectId second;
 };
 
-class DeadlockRuntimeTest : public ::testing::TestWithParam<SchedulerMode> {};
-
-TEST_P(DeadlockRuntimeTest, OpposingLockOrdersResolve) {
+TEST(DeadlockRuntimeTest, OpposingLockOrdersResolve) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.protocol = ProtocolKind::kLotec;
   cfg.page_size = 64;
   cfg.seed = 5;
-  cfg.scheduler = GetParam();
   Cluster cluster(cfg);
 
   const ClassId cell = cluster.define_class(
@@ -68,19 +65,16 @@ TEST_P(DeadlockRuntimeTest, OpposingLockOrdersResolve) {
   // Both cells incremented once per committed family.
   EXPECT_EQ(cluster.peek<std::int64_t>(a, "v"), 40);
   EXPECT_EQ(cluster.peek<std::int64_t>(b, "v"), 40);
-  if (GetParam() == SchedulerMode::kDeterministic) {
-    // The opposing orders must actually have deadlocked at least once.
-    EXPECT_GT(retries, 0u);
-  }
+  // The opposing orders must actually have deadlocked at least once.
+  EXPECT_GT(retries, 0u);
 }
 
-TEST_P(DeadlockRuntimeTest, UpgradeDeadlockResolves) {
+TEST(DeadlockRuntimeTest, UpgradeDeadlockResolves) {
   ClusterConfig cfg;
   cfg.nodes = 2;
   cfg.protocol = ProtocolKind::kOtec;
   cfg.page_size = 64;
   cfg.seed = 9;
-  cfg.scheduler = GetParam();
   Cluster cluster(cfg);
 
   const ClassId cell = cluster.define_class(
@@ -115,15 +109,6 @@ TEST_P(DeadlockRuntimeTest, UpgradeDeadlockResolves) {
   for (const auto& r : results) EXPECT_TRUE(r.committed);
   EXPECT_EQ(cluster.peek<std::int64_t>(x, "v"), 20);
 }
-
-INSTANTIATE_TEST_SUITE_P(Schedulers, DeadlockRuntimeTest,
-                         ::testing::Values(SchedulerMode::kDeterministic,
-                                           SchedulerMode::kConcurrent),
-                         [](const auto& info) {
-                           return info.param == SchedulerMode::kDeterministic
-                                      ? "Deterministic"
-                                      : "Concurrent";
-                         });
 
 }  // namespace
 }  // namespace lotec

@@ -237,11 +237,6 @@ TEST(ExperimentOptionsTest, ClusterConstructionValidates) {
   expect_ctor_rejected(cfg, "trace_spans");
 
   cfg = {};
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  cfg.lock_cache = true;
-  expect_ctor_rejected(cfg, "deterministic scheduler");
-
-  cfg = {};
   EXPECT_NO_THROW(Cluster{cfg});
 }
 
@@ -295,8 +290,7 @@ TEST(ExperimentOptionsTest, RejectsWireWithDropMessageEvents) {
 }
 
 TEST(ExperimentOptionsTest, WireClusterConfigRejectsCheckAndExploreModes) {
-  // schedule_picker / check_sink / the concurrent scheduler live on
-  // ClusterConfig (the check and explore tools build one directly), so the
+  // schedule_picker / check_sink live on ClusterConfig (the check and explore tools build one directly), so the
   // rules are asserted there; validate() runs before any worker spawns.
   const auto expect_cfg_rejected = [](const ClusterConfig& cfg,
                                       const char* needle) {
@@ -310,11 +304,6 @@ TEST(ExperimentOptionsTest, WireClusterConfigRejectsCheckAndExploreModes) {
   };
 
   ClusterConfig cfg;
-  cfg.wire.enabled = true;
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  expect_cfg_rejected(cfg, "deterministic scheduler");
-
-  cfg = {};
   cfg.wire.enabled = true;
   cfg.schedule_picker = [](const std::vector<std::size_t>&, std::size_t) {
     return std::size_t{0};

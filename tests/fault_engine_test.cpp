@@ -337,13 +337,6 @@ TEST_F(FaultEngineTest, DeadIncarnationWaiterPurgedBeforeGrant) {
 
 // --- cluster construction guards -------------------------------------------
 
-TEST(FaultConfigGuards, FaultInjectionRequiresDeterministicScheduler) {
-  ClusterConfig cfg;
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  cfg.fault = fault_presets::message_chaos(1, 0.01, 0.0, 0.0);
-  EXPECT_THROW(Cluster cluster(cfg), UsageError);
-}
-
 TEST(FaultConfigGuards, NodeFaultsRequireGdoReplication) {
   ClusterConfig cfg;
   cfg.fault = fault_presets::crash_restart(NodeId(1), 10, 20);

@@ -202,6 +202,34 @@ TEST(LockCacheTest, DisabledKnobsAreInertOnTheWire) {
   EXPECT_THROW(bad.validate(), UsageError);
 }
 
+TEST(LockCacheTest, SameSiteRaceKeepsDeferredReport) {
+  // A family that misses the site cache and is then preempted at its
+  // directory round can resume after a sibling at the same site has cached
+  // the lock with a deferred report.  The directory drops the site's own
+  // marker on acquire, so the resumed family must re-grant (or flush) that
+  // entry first; otherwise the report is lost and the end-of-batch drain
+  // leaves the site's pages ahead of the directory.  The seed sweep covers
+  // schedules that hit the race.
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    ClusterConfig cfg = cache_config(true);
+    cfg.max_active_families = 4;
+    cfg.seed = seed;
+    Cluster cluster(cfg);
+    const ClassId cls = define_counter(cluster, cfg.page_size);
+    const ObjectId obj = cluster.create_object(cls, NodeId(0));
+    const NodeId site = remote_site(cluster, obj, NodeId(0));
+    // The reader starts first; the writer is the sibling that may cache
+    // the lock while the reader waits at its preemption point.
+    std::vector<RootRequest> reqs = batch_at(cluster, obj, "read", 1, site);
+    reqs.push_back(batch_at(cluster, obj, "increment", 1, site).front());
+    SCOPED_TRACE("cluster seed " + std::to_string(seed));
+    for (const auto& r : cluster.execute(std::move(reqs)))
+      EXPECT_TRUE(r.committed);
+    EXPECT_EQ(cluster.peek<std::int64_t>(obj, "value"), 1);
+    for (const auto& v : validate_quiescent(cluster)) ADD_FAILURE() << v;
+  }
+}
+
 TEST(LockCacheTest, HotSiteWorkloadCutsLockTraffic) {
   // All families pinned to their object's home site: the cache converts
   // repeat acquires into local re-grants and total lock traffic drops.

@@ -141,7 +141,6 @@ TEST(SpanFaultTest, CrashesCloseAbandonedSpansAndRetriesGetFreshTraces) {
 
   ClusterConfig cfg;
   cfg.nodes = 6;
-  cfg.scheduler = SchedulerMode::kDeterministic;
   cfg.gdo.replicate = true;
   cfg.fault = fault_presets::chaos(NodeId(1), NodeId(4), /*seed=*/7);
   cfg.obs.trace_spans = true;
@@ -186,7 +185,6 @@ TEST(SpanFaultTest, MiniChaosSoakLeavesNoOpenSpans) {
     const Workload workload(spec);
     ClusterConfig cfg;
     cfg.nodes = 5;
-    cfg.scheduler = SchedulerMode::kDeterministic;
     cfg.gdo.replicate = true;
     cfg.fault = fault_presets::chaos(NodeId(2), NodeId(3), seed,
                                      /*first_crash_tick=*/40 + seed * 17,
@@ -236,7 +234,6 @@ TEST(FlightRecorderTest, CrashDumpIsPerfettoLoadableAndMarksTheVictim) {
   const Workload workload(spec);
   ClusterConfig cfg;
   cfg.nodes = 5;
-  cfg.scheduler = SchedulerMode::kDeterministic;
   cfg.gdo.replicate = true;
   cfg.fault = fault_presets::chaos(NodeId(1), NodeId(3), /*seed=*/11);
   cfg.obs.trace_spans = true;  // span events land in the ring too

@@ -82,13 +82,13 @@ TEST(SoakRegressionTest, ReadReleaseDoesNotMoveOwnership) {
             NodeId(2));
 }
 
-// soak seed 999 iteration 55: RC under the CONCURRENT scheduler used to
-// send its eager pushes AFTER releasing the lock; a slow push could then
-// overwrite a caching site's freshly committed (newer) pages with the
-// pusher's older ones, leaving the directory pointing at a version the
-// owner no longer held.  Pushes now happen before release, and installs are
-// version-guarded.  (Concurrent-mode schedule: the run is nondeterministic,
-// but the invariants must hold on every outcome.)
+// soak seed 999 iteration 55: RC used to send its eager pushes AFTER
+// releasing the lock; a slow push could then overwrite a caching site's
+// freshly committed (newer) pages with the pusher's older ones, leaving the
+// directory pointing at a version the owner no longer held.  Pushes now
+// happen before release, and installs are version-guarded.  The sweep over
+// cluster seeds checks several release/push interleavings; the invariants
+// must hold on every one.
 TEST(SoakRegressionTest, RcPushesCannotClobberSuccessorCommits) {
   WorkloadSpec spec;
   spec.num_objects = 21;
@@ -98,19 +98,21 @@ TEST(SoakRegressionTest, RcPushesCannotClobberSuccessorCommits) {
   spec.contention_theta = 0.12;
   spec.seed = 7690008944073303017ULL;
 
-  ClusterConfig cfg;
-  cfg.nodes = 8;
-  cfg.page_size = 512;
-  cfg.protocol = ProtocolKind::kRc;
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  cfg.seed = 4420676621890058471ULL;
-  cfg.cache_capacity_pages = 19;
-  Cluster cluster(cfg);
   const Workload workload(spec);
-  const auto results = cluster.execute(workload.instantiate(cluster));
-  for (const auto& r : results) EXPECT_TRUE(r.committed);
-  const auto violations = validate_quiescent(cluster);
-  for (const auto& v : violations) ADD_FAILURE() << v;
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    ClusterConfig cfg;
+    cfg.nodes = 8;
+    cfg.page_size = 512;
+    cfg.protocol = ProtocolKind::kRc;
+    cfg.seed = 4420676621890058471ULL + k;
+    cfg.cache_capacity_pages = 19;
+    SCOPED_TRACE("cluster seed " + std::to_string(cfg.seed));
+    Cluster cluster(cfg);
+    const auto results = cluster.execute(workload.instantiate(cluster));
+    for (const auto& r : results) EXPECT_TRUE(r.committed);
+    const auto violations = validate_quiescent(cluster);
+    for (const auto& v : violations) ADD_FAILURE() << v;
+  }
 }
 
 }  // namespace

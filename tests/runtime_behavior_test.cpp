@@ -309,31 +309,5 @@ TEST(RuntimeBehaviorTest, PrefetchHintsPreAcquireLockSet) {
   EXPECT_EQ(cluster.peek<std::int64_t>(l2, "v"), 1);
 }
 
-TEST(RuntimeBehaviorTest, ConcurrentSchedulerMatchesDeterministicResults) {
-  const auto final_value = [](SchedulerMode mode) {
-    ClusterConfig cfg = base_config(ProtocolKind::kLotec);
-    cfg.scheduler = mode;
-    Cluster cluster(cfg);
-    const ClassId cls = cluster.define_class(
-        ClassBuilder("C", cfg.page_size)
-            .attribute("v", 8)
-            .method("bump", {"v"}, {"v"}, [](MethodContext& ctx) {
-              ctx.set<std::int64_t>("v", ctx.get<std::int64_t>("v") + 1);
-            }));
-    const ObjectId obj = cluster.create_object(cls, NodeId(0));
-    std::vector<RootRequest> reqs;
-    const MethodId bump = cluster.method_id(obj, "bump");
-    for (int i = 0; i < 60; ++i)
-      reqs.push_back(RootRequest{obj, bump, NodeId(i % 4), {}, nullptr});
-    int committed = 0;
-    for (const auto& r : cluster.execute(std::move(reqs)))
-      committed += r.committed ? 1 : 0;
-    EXPECT_EQ(committed, 60);
-    return cluster.peek<std::int64_t>(obj, "v");
-  };
-  EXPECT_EQ(final_value(SchedulerMode::kDeterministic), 60);
-  EXPECT_EQ(final_value(SchedulerMode::kConcurrent), 60);
-}
-
 }  // namespace
 }  // namespace lotec

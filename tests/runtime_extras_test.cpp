@@ -1,6 +1,6 @@
 // Additional runtime coverage: deep nesting, multi-page attributes,
-// fair-reader and release-ack configurations, concurrent-mode stress with
-// quiescent validation, and script-driven mixed workload sanity.
+// fair-reader and release-ack configurations, and script-driven mixed
+// workload sanity.
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
@@ -132,32 +132,6 @@ TEST(RuntimeExtrasTest, ReleaseAcksAddMessagesOnly) {
   EXPECT_EQ(v_acked, 6);
   EXPECT_EQ(acks_plain, 0u);
   EXPECT_GT(acks_acked, 0u);
-}
-
-TEST(RuntimeExtrasTest, ConcurrentStressStaysConsistent) {
-  WorkloadSpec spec;
-  spec.num_objects = 10;
-  spec.min_pages = 1;
-  spec.max_pages = 4;
-  spec.num_transactions = 150;
-  spec.contention_theta = 0.8;
-  spec.seed = 71;
-  const Workload workload(spec);
-
-  ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.page_size = 256;
-  cfg.protocol = ProtocolKind::kLotec;
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  cfg.max_active_families = 12;
-  cfg.seed = 10;
-  Cluster cluster(cfg);
-  std::size_t committed = 0;
-  for (const auto& r : cluster.execute(workload.instantiate(cluster)))
-    committed += r.committed ? 1 : 0;
-  EXPECT_EQ(committed, spec.num_transactions);
-  const auto violations = validate_quiescent(cluster);
-  for (const auto& v : violations) ADD_FAILURE() << v;
 }
 
 TEST(RuntimeExtrasTest, MulticastOnlyAffectsRcPushTraffic) {

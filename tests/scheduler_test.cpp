@@ -1,5 +1,5 @@
-// Schedulers: token-passing determinism, block/wake, victim delivery, and
-// the concurrent scheduler's watchdog-driven victimization.
+// Token scheduler: token-passing determinism, block/wake, victim delivery
+// and stall handling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -120,7 +120,7 @@ TEST(TokenSchedulerTest, UnresolvableStallCancelsRun) {
   };
   EXPECT_THROW(
       sched.run(std::move(bodies),
-                []() -> std::size_t { return Scheduler::kNoVictim; }),
+                []() -> std::size_t { return TokenScheduler::kNoVictim; }),
       Error);
   EXPECT_TRUE(saw_victim_error);
 }
@@ -141,46 +141,6 @@ TEST(TokenSchedulerTest, MaxActiveBoundsConcurrentFamilies) {
       if (i + 1 < kN) sched.block(i);
     };
   EXPECT_NO_THROW(sched.run(std::move(bodies), nullptr));
-}
-
-TEST(ConcurrentSchedulerTest, RunsBodiesInParallel) {
-  ConcurrentScheduler sched({.max_active = 4});
-  std::atomic<int> done{0};
-  std::vector<std::function<void()>> bodies;
-  for (int i = 0; i < 16; ++i) bodies.emplace_back([&] { done++; });
-  sched.run(std::move(bodies), nullptr);
-  EXPECT_EQ(done.load(), 16);
-}
-
-TEST(ConcurrentSchedulerTest, WakeBeforeBlockIsNotLost) {
-  ConcurrentScheduler sched({.max_active = 2});
-  std::vector<std::function<void()>> bodies(2);
-  std::atomic<bool> woke{false};
-  bodies[0] = [&] {
-    while (!woke.load()) std::this_thread::yield();
-    sched.block(0);  // wake already arrived: must return immediately
-  };
-  bodies[1] = [&] {
-    sched.wake(0);
-    woke.store(true);
-  };
-  EXPECT_NO_THROW(sched.run(std::move(bodies), nullptr));
-}
-
-TEST(ConcurrentSchedulerTest, WatchdogVictimizesBlockedFamily) {
-  ConcurrentScheduler sched(
-      {.max_active = 2, .watchdog_period = std::chrono::milliseconds(5)});
-  std::atomic<bool> victimized{false};
-  std::vector<std::function<void()>> bodies(1);
-  bodies[0] = [&] {
-    try {
-      sched.block(0);
-    } catch (const DeadlockVictimError&) {
-      victimized.store(true);
-    }
-  };
-  sched.run(std::move(bodies), [&]() -> std::size_t { return 0; });
-  EXPECT_TRUE(victimized.load());
 }
 
 }  // namespace

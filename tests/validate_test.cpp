@@ -199,10 +199,6 @@ TEST(RingValidationTest, RejectsIncompatibleKnobs) {
   EXPECT_NE(rejection_of(cfg).find("lock_cache"), std::string::npos);
 
   cfg = ring_cfg();
-  cfg.scheduler = SchedulerMode::kConcurrent;
-  EXPECT_NE(rejection_of(cfg).find("deterministic"), std::string::npos);
-
-  cfg = ring_cfg();
   cfg.gdo.replicate = false;
   EXPECT_NE(rejection_of(cfg).find("gdo.replicate"), std::string::npos);
 }

@@ -23,9 +23,10 @@
 // Exit codes (CI distinguishes "perf regressed" from "bench never ran"):
 //   0  every metric within tolerance
 //   1  at least one metric out of tolerance (and nothing missing)
-//   2  usage error
-//   3  missing data: candidate file absent, unparseable JSON, row/field
-//      missing from the candidate, or no BENCH_*.json baselines at all
+//   2  usage error, including a tolerance that is not a non-negative number
+//   3  missing data: baseline or candidate path not a directory, candidate
+//      file absent, unparseable JSON, row/field missing from the candidate,
+//      or no BENCH_*.json baselines at all
 //
 // The parser below handles exactly the flat format bench/json_out.hpp
 // emits ({"bench": ..., "rows": [{"label": ..., key: number, ...}]}) — the
@@ -105,6 +106,15 @@ void parse_row(const std::string& s, std::size_t& i, BenchFile& out) {
   out.rows[label] = std::move(fields);
 }
 
+/// A tolerance argument: the whole string must be a finite number >= 0.
+/// (atof would read "abc" as 0 and silently demand exact equality.)
+bool parse_tolerance(const std::string& text, double& out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return *end == '\0' && std::isfinite(out) && out >= 0.0;
+}
+
 BenchFile parse_file(const std::filesystem::path& path) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("cannot open " + path.string());
@@ -146,17 +156,32 @@ int main(int argc, char** argv) {
   for (int a = 3; a < argc; ++a) {
     const std::string arg = argv[a];
     const std::size_t eq = arg.find('=');
+    const std::string value =
+        eq == std::string::npos ? arg : arg.substr(eq + 1);
+    double tol = 0.0;
+    if (!parse_tolerance(value, tol)) {
+      std::cerr << "bench_check: tolerance '" << value << "' in argument '"
+                << arg << "' is not a non-negative number\n";
+      return 2;
+    }
     if (eq == std::string::npos) {
-      default_tolerance = std::atof(arg.c_str());
+      default_tolerance = tol;
     } else {
       const std::string target = arg.substr(0, eq);
-      const double tol = std::atof(arg.substr(eq + 1).c_str());
       const std::size_t colon = target.find(':');
       if (colon == std::string::npos)
         per_file_tolerance[target] = tol;
       else
         per_row_tolerance[target.substr(0, colon)]
                          [target.substr(colon + 1)] = tol;
+    }
+  }
+
+  for (const auto& dir : {baseline_dir, candidate_dir}) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec)) {
+      std::cerr << "FAIL: " << dir << " is not a directory\n";
+      return 3;
     }
   }
 

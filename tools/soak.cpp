@@ -1,7 +1,7 @@
 // soak: long-running randomized stress with invariant validation.
 //
 // Each iteration generates a fresh random workload (random geometry,
-// contention, abort injection, protocol, scheduler, cache budget), runs it,
+// contention, abort injection, protocol, cache budget), runs it,
 // and validates the quiescent-state invariants plus cross-protocol final-
 // state equivalence.  Any violation aborts with a reproduction line.
 //
@@ -60,11 +60,10 @@ struct Draw {
   double read_only_fraction = 0.0;
 };
 
-/// Chaos-mode constraints: node faults need the deterministic scheduler and
-/// a replicated directory, and every family must survive long enough to see
-/// the restart (bounded retry budget stays the default).
+/// Chaos-mode constraints: node faults need a replicated directory, and
+/// every family must survive long enough to see the restart (bounded retry
+/// budget stays the default).
 void add_random_faults(Draw& d, Rng& rng) {
-  d.cfg.scheduler = SchedulerMode::kDeterministic;
   d.cfg.gdo.replicate = true;
 
   const auto node = [&] {
@@ -118,8 +117,6 @@ Draw random_setup(Rng& rng) {
   d.cfg.seed = rng.next();
   d.cfg.undo = rng.chance(0.5) ? UndoStrategy::kByteRange
                                : UndoStrategy::kShadowPage;
-  d.cfg.scheduler = rng.chance(0.15) ? SchedulerMode::kConcurrent
-                                     : SchedulerMode::kDeterministic;
   d.cfg.cache_capacity_pages = rng.chance(0.25) ? 4 + rng.below(24) : 0;
   d.cfg.gdo.replicate = rng.chance(0.3);
   d.cfg.gdo.fair_readers = rng.chance(0.3);
@@ -127,32 +124,28 @@ Draw random_setup(Rng& rng) {
       ProtocolKind::kCotec, ProtocolKind::kOtec, ProtocolKind::kLotec,
       ProtocolKind::kRc, ProtocolKind::kLotecDsd};
   d.cfg.protocol = kinds[rng.below(5)];
-  // Sticky lock caching rides along in a third of the runs.  Draw before
-  // gating so the random stream (and every later iteration's config) is
-  // identical whichever scheduler was picked; the end-of-batch cache drain
-  // assumes the deterministic scheduler's quiescence points.
+  // Sticky lock caching rides along in a third of the runs.
   const bool want_lock_cache = rng.chance(0.3);
   const std::size_t cache_cap = 1 + rng.below(8);
-  if (d.cfg.scheduler == SchedulerMode::kDeterministic && want_lock_cache) {
+  if (want_lock_cache) {
     // A capacity without the cache is no longer silently inert — Cluster
     // construction rejects it — so the capacity draw only lands when the
-    // cache itself is on (the draw above keeps the stream identical).
+    // cache itself is on (drawn regardless, so the stream stays identical).
     d.cfg.lock_cache = true;
     d.cfg.lock_cache_capacity = cache_cap;
   }
   // Read-intent and snapshot reads: a third of the runs submit a share of
   // their families as declared read-only; mv_read additionally rides along
-  // when the drawn config supports it (deterministic scheduler, no lock
-  // cache — fault and wire modes strip it again below).  Everything drawn
-  // before gating so the stream stays identical across modes.
+  // when the drawn config supports it (no lock cache — fault and wire modes
+  // strip it again below).  Everything drawn before gating so the stream
+  // stays identical across modes.
   const bool want_read_only = rng.chance(0.35);
   const double read_only_fraction = 0.2 + rng.uniform() * 0.6;
   const bool want_mv = rng.chance(0.6);
   const std::size_t ring_depth = 2 + rng.below(6);
   if (want_read_only) {
     d.read_only_fraction = read_only_fraction;
-    if (want_mv && d.cfg.scheduler == SchedulerMode::kDeterministic &&
-        !d.cfg.lock_cache) {
+    if (want_mv && !d.cfg.lock_cache) {
       d.cfg.mv_read = true;
       d.cfg.mv_version_ring = ring_depth;
     }
@@ -165,7 +158,6 @@ Draw random_setup(Rng& rng) {
 /// add_random_faults) so the random stream is identical with and without
 /// --rebalance.
 void constrain_for_rebalance(Draw& d, Rng& rng) {
-  d.cfg.scheduler = SchedulerMode::kDeterministic;
   d.cfg.gdo.replicate = true;
   d.cfg.mv_read = false;     // ring + snapshot reads are rejected
   d.cfg.lock_cache = false;  // ring + cached-holder leases are rejected
@@ -200,14 +192,12 @@ void constrain_for_rebalance(Draw& d, Rng& rng) {
   if (d.spec.num_transactions < 80) d.spec.num_transactions = 80;
 }
 
-/// Constrain one drawn iteration to what the wire transport supports:
-/// deterministic scheduler, no message chaos (drop/duplicate/delay), no
-/// drop events — crash/restart and partitions stay, as real process kills.
+/// Constrain one drawn iteration to what the wire transport supports: no
+/// message chaos (drop/duplicate/delay), no drop events — crash/restart and partitions stay, as real process kills.
 /// Applied AFTER the draws so the random stream is identical with and
 /// without --transport=wire.
 void constrain_for_wire(Draw& d) {
   d.cfg.wire.enabled = true;
-  d.cfg.scheduler = SchedulerMode::kDeterministic;
   d.cfg.fault.drop_probability = 0.0;
   d.cfg.fault.duplicate_probability = 0.0;
   d.cfg.fault.delay_probability = 0.0;
