@@ -1,7 +1,7 @@
 // DecisionTrace: the recorded nondeterminism of one explored schedule.
 //
 // Under the token scheduler every interleaving choice funnels through one
-// decision point (TokenScheduler::schedule_next_locked's pick among the
+// decision point (TokenScheduler::schedule_next's pick among the
 // runnable families plus the optional spawn slot).  The picker is consulted
 // only when more than one choice exists, so a schedule is fully determined
 // by the sequence of (k, pick) pairs — k choices offered, pick taken.

@@ -16,11 +16,9 @@
 // point; CheckSink's defaults are all no-ops so sinks override only what
 // they consume.
 //
-// Threading: events are emitted under the producing layer's own locks
-// (store_mu, the GDO partition lock, the lock-cache mutex).  Sinks must be
-// append-only observers — never call back into the cluster, never block.
-// Under the deterministic TokenScheduler exactly one family runs at a
-// time, so a sink sees a single linearized event stream.
+// Sinks must be append-only observers — never call back into the cluster,
+// never block.  Families run as fibers on one thread and exactly one runs
+// at a time, so a sink sees a single linearized event stream.
 #pragma once
 
 #include <cstdint>

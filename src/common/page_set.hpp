@@ -109,13 +109,19 @@ class PageSet {
   }
 
   /// Enumerate members in ascending order.
+  /// Call `f(page)` for every member, ascending, without allocating.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w)
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1)
+        f(PageIndex(static_cast<std::uint32_t>(
+            w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits)))));
+  }
+
   [[nodiscard]] std::vector<PageIndex> to_vector() const {
     std::vector<PageIndex> out;
     out.reserve(count());
-    for (std::size_t i = 0; i < num_pages_; ++i) {
-      const PageIndex p(static_cast<std::uint32_t>(i));
-      if (contains(p)) out.push_back(p);
-    }
+    for_each([&out](PageIndex p) { out.push_back(p); });
     return out;
   }
 

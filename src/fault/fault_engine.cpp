@@ -285,14 +285,11 @@ void FaultEngine::note_page(NodeId site, ObjectId id, std::size_t num_pages,
 
 void FaultEngine::wipe_node(NodeId node) {
   Node& site = *nodes_[node.value()];
-  {
-    std::lock_guard<std::mutex> lock(site.store_mu);
-    site.store = PageStore{};
-    site.pins.clear();
-    site.lru.clear();
-    site.lru_pos.clear();
-    ++wipe_counts_[node.value()];
-  }
+  site.store = PageStore{};
+  site.pins.clear();
+  site.lru.clear();
+  site.lru_pos.clear();
+  ++wipe_counts_[node.value()];
   // Cached global locks (and their unflushed deferred reports) live in the
   // wiped memory too; the directory reclaims the matching markers by lease.
   site.lock_cache.clear();
@@ -304,7 +301,6 @@ void FaultEngine::wipe_node(NodeId node) {
 
 void FaultEngine::restore_node(NodeId node) {
   Node& site = *nodes_[node.value()];
-  std::lock_guard<std::mutex> lock(site.store_mu);
   for (const auto& [id, d] : durable_[node.value()]) {
     GdoEntry snap;
     try {

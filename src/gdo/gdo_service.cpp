@@ -49,13 +49,11 @@ GdoService::GdoService(Transport& transport, GdoConfig config,
 
 NodeId GdoService::placement_of(ObjectId id) const {
   if (ring_ == nullptr) return home_of(id);
-  std::lock_guard<std::mutex> lock(ring_->mu);
   return current_ring().owner_of(id);
 }
 
 NodeId GdoService::resident_of(ObjectId id) const {
   if (ring_ == nullptr) return home_of(id);
-  std::lock_guard<std::mutex> lock(ring_->mu);
   const auto it = ring_->resident.find(id);
   if (it == ring_->resident.end()) return current_ring().owner_of(id);
   return NodeId(it->second);
@@ -63,19 +61,16 @@ NodeId GdoService::resident_of(ObjectId id) const {
 
 std::uint64_t GdoService::ring_epoch() const {
   if (ring_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ring_->mu);
   return ring_->epoch;
 }
 
 std::vector<NodeId> GdoService::ring_members() const {
   if (ring_ == nullptr) return {};
-  std::lock_guard<std::mutex> lock(ring_->mu);
   return current_ring().members();
 }
 
 std::size_t GdoService::pending_migrations() const {
   if (ring_ == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(ring_->mu);
   return ring_->pending.size();
 }
 
@@ -84,7 +79,6 @@ std::vector<NodeId> GdoService::failover_chain(ObjectId id) const {
   const std::size_t n = partitions_.size();
   if (ring_ != nullptr) {
     const NodeId resident = resident_of(id);
-    std::lock_guard<std::mutex> lock(ring_->mu);
     for (const NodeId cand :
          current_ring().successors(id, current_ring().num_members()))
       if (cand != resident) chain.push_back(cand);
@@ -106,7 +100,6 @@ std::vector<NodeId> GdoService::mirror_targets(ObjectId id,
     if (mirror != serving) targets.push_back(mirror);
     return targets;
   }
-  std::lock_guard<std::mutex> lock(ring_->mu);
   // k distinct successors of the object's ring position, skipping the node
   // that serves the entry itself (during migration the resident can sit in
   // the owner's successor list).
@@ -125,7 +118,6 @@ bool GdoService::ring_set_member(NodeId node, bool joined) {
                      "enabled");
   if (!node.valid() || node.value() >= partitions_.size())
     throw UsageError("GdoService: ring member out of range");
-  std::lock_guard<std::mutex> lock(ring_->mu);
   HashRing next = current_ring();
   if (joined) {
     if (!next.add_node(node)) return false;
@@ -173,14 +165,10 @@ std::uint64_t entry_wire_bytes(const GdoEntry& e) noexcept {
 }  // namespace
 
 bool GdoService::migrate_entry(ObjectId id) {
-  NodeId from, to;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    const auto it = ring_->resident.find(id);
-    if (it == ring_->resident.end()) return true;  // never registered
-    from = NodeId(it->second);
-    to = current_ring().owner_of(id);
-  }
+  const auto res = ring_->resident.find(id);
+  if (res == ring_->resident.end()) return true;  // never registered
+  const NodeId from(res->second);
+  const NodeId to = current_ring().owner_of(id);
   if (from == to) return true;  // a later change re-owned it back
   if (!transport_.reachable(to)) return false;  // target down: stay queued
 
@@ -191,7 +179,6 @@ bool GdoService::migrate_entry(ObjectId id) {
   bool have_copy = false;
   if (transport_.reachable(from)) {
     Partition& src = partitions_[from.value()];
-    std::lock_guard<std::mutex> lock(src.mu);
     const auto it = src.entries.find(id);
     if (it != src.entries.end()) {
       moved = it->second;
@@ -206,7 +193,6 @@ bool GdoService::migrate_entry(ObjectId id) {
     for (const NodeId cand : failover_chain(id)) {
       if (cand == to || !transport_.reachable(cand)) continue;
       const Partition& part = partitions_[cand.value()];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
       const auto it = part.mirrors.find(id);
       if (it == part.mirrors.end()) continue;
       if (!have_copy ||
@@ -217,16 +203,13 @@ bool GdoService::migrate_entry(ObjectId id) {
       }
     }
     // The target's own mirror map may hold the newest copy (free to adopt).
-    {
-      const Partition& part = partitions_[to.value()];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
-      const auto it = part.mirrors.find(id);
-      if (it != part.mirrors.end() &&
-          (!have_copy || it->second.version_counter > moved.version_counter)) {
-        moved = it->second;
-        source = to;
-        have_copy = true;
-      }
+    const Partition& part = partitions_[to.value()];
+    const auto it = part.mirrors.find(id);
+    if (it != part.mirrors.end() &&
+        (!have_copy || it->second.version_counter > moved.version_counter)) {
+      moved = it->second;
+      source = to;
+      have_copy = true;
     }
     if (!have_copy) return false;  // nothing recoverable yet: stay queued
   }
@@ -243,24 +226,12 @@ bool GdoService::migrate_entry(ObjectId id) {
   // Handoff applied as one unit against crash events, like every directory
   // mutation: erase at the source, install at the target, re-mirror.
   FaultAtomicSection atomic(transport_.fault_hooks());
-  std::uint64_t epoch = 0;
-  if (source == from && transport_.reachable(from)) {
-    Partition& src = partitions_[from.value()];
-    std::lock_guard<std::mutex> lock(src.mu);
-    src.entries.erase(id);
-  }
-  {
-    Partition& dst = partitions_[to.value()];
-    std::lock_guard<std::mutex> lock(dst.mu);
-    dst.entries[id] = moved;
-  }
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    ring_->resident[id] = to.value();
-    epoch = ring_->epoch;
-  }
+  if (source == from && transport_.reachable(from))
+    partitions_[from.value()].entries.erase(id);
+  partitions_[to.value()].entries[id] = moved;
+  ring_->resident[id] = to.value();
   ring_stats_.migrations->add();
-  if (check_ != nullptr) check_->on_shard_move(id, from, to, epoch);
+  if (check_ != nullptr) check_->on_shard_move(id, from, to, ring_->epoch);
   // Refresh the new owner's mirror group and retire every other copy: the
   // fenced ex-owner's mirrors freeze the moment the shard moves, and a
   // later rebuild must not resurrect one.
@@ -271,7 +242,6 @@ bool GdoService::migrate_entry(ObjectId id) {
     if (cand == to) continue;
     if (std::find(keep.begin(), keep.end(), cand) != keep.end()) continue;
     Partition& part = partitions_[p];
-    std::lock_guard<std::mutex> lock(part.mirror_mu);
     part.mirrors.erase(id);
   }
   return true;
@@ -285,24 +255,20 @@ std::size_t GdoService::pump_migrations(std::size_t budget) {
   std::vector<std::uint64_t> blocked;
   for (std::size_t round = 0; round < budget; ++round) {
     ObjectId next;
-    {
-      std::lock_guard<std::mutex> lock(ring_->mu);
-      // Pick the first movable entry (ascending id = deterministic order;
-      // migrate_entry re-takes the ring lock, so no cursor survives it).
-      bool found = false;
-      for (const ObjectId id : ring_->pending) {
-        if (std::find(blocked.begin(), blocked.end(), id.value()) !=
-            blocked.end())
-          continue;
-        next = id;
-        found = true;
-        break;
-      }
-      if (!found) break;
+    // Pick the first movable entry (ascending id = deterministic order;
+    // migrate_entry edits the pending list, so no cursor survives it).
+    bool found = false;
+    for (const ObjectId id : ring_->pending) {
+      if (std::find(blocked.begin(), blocked.end(), id.value()) !=
+          blocked.end())
+        continue;
+      next = id;
+      found = true;
+      break;
     }
+    if (!found) break;
     if (migrate_entry(next)) {
       ++moved;
-      std::lock_guard<std::mutex> lock(ring_->mu);
       std::erase(ring_->pending, next);
     } else {
       blocked.push_back(next.value());
@@ -314,11 +280,7 @@ std::size_t GdoService::pump_migrations(std::size_t budget) {
 void GdoService::drain_migrations() {
   if (ring_ == nullptr) return;
   for (;;) {
-    std::size_t pending;
-    {
-      std::lock_guard<std::mutex> lock(ring_->mu);
-      pending = ring_->pending.size();
-    }
+    const std::size_t pending = ring_->pending.size();
     if (pending == 0) return;
     if (pump_migrations(pending) == 0) return;  // stuck: nothing reachable
   }
@@ -326,18 +288,13 @@ void GdoService::drain_migrations() {
 
 void GdoService::ring_catch_up(ObjectId id) {
   if (ring_ == nullptr) return;
-  bool queued;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    queued = std::binary_search(
-        ring_->pending.begin(), ring_->pending.end(), id,
-        [](ObjectId a, ObjectId b) { return a.value() < b.value(); });
-  }
+  const bool queued = std::binary_search(
+      ring_->pending.begin(), ring_->pending.end(), id,
+      [](ObjectId a, ObjectId b) { return a.value() < b.value(); });
   if (!queued) return;
   // Priority pull: the operation needs this shard at its true owner now.
   if (migrate_entry(id)) {
     ring_stats_.pulls->add();
-    std::lock_guard<std::mutex> lock(ring_->mu);
     std::erase(ring_->pending, id);
   }
 }
@@ -348,14 +305,11 @@ void GdoService::ring_prep_request(ObjectId id, NodeId requester,
   ring_catch_up(id);
   NodeId believed;
   bool stale = false;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    std::uint64_t& view = ring_->view[requester.value()];
-    if (view != ring_->epoch) {
-      believed = ring_->history[view].owner_of(id);
-      view = ring_->epoch;
-      stale = true;
-    }
+  std::uint64_t& view = ring_->view[requester.value()];
+  if (view != ring_->epoch) {
+    believed = ring_->history[view].owner_of(id);
+    view = ring_->epoch;
+    stale = true;
   }
   if (!stale) return;
   const NodeId actual = resident_of(id);
@@ -376,13 +330,8 @@ void GdoService::ring_prep_request(ObjectId id, NodeId requester,
 
 void GdoService::note_serve(ObjectId id, Route r) {
   if (ring_ == nullptr || check_ == nullptr || r.failover) return;
-  std::uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(ring_->mu);
-    epoch = ring_->epoch;
-  }
   check_->on_shard_serve(id, NodeId(static_cast<std::uint32_t>(r.partition)),
-                         epoch);
+                         ring_->epoch);
 }
 
 GdoService::Route GdoService::route(ObjectId id) const {
@@ -438,9 +387,8 @@ void GdoService::stamp_epoch(WaiterFamily& w) const {
     w.epoch = hooks->crash_count(w.node);
 }
 
-void GdoService::reap_dead_locked(ObjectId id, GdoEntry& e, NodeId serving,
-                                  bool ignore_leases,
-                                  std::vector<Grant>& wakeups) {
+void GdoService::reap_dead(ObjectId id, GdoEntry& e, NodeId serving,
+                           bool ignore_leases, std::vector<Grant>& wakeups) {
   const FaultHooks* hooks = transport_.fault_hooks();
   if (hooks == nullptr) return;
   const std::uint64_t tick = hooks->now();
@@ -540,7 +488,7 @@ void GdoService::revoke_conflicting_cached(ObjectId id, GdoEntry& e,
     if (hooks != nullptr && hooks->crash_count(c.node) > c.epoch) {
       // Dead incarnation: its cached updates are already lost, but the
       // lease is the only proof of death a real directory would have —
-      // leave the marker to block the request until reap_dead_locked
+      // leave the marker to block the request until reap_dead
       // collects it (immediately if the lease already ran out).
       if (hooks->now() >= c.lease_expiry) {
         e.cached.erase(e.cached.begin() + static_cast<std::ptrdiff_t>(i));
@@ -595,7 +543,6 @@ void GdoService::register_object(ObjectId id, std::size_t num_pages,
   // mirror chain serves until it returns, exactly like the static home).
   const auto note_resident = [&] {
     if (ring_ == nullptr) return;
-    std::lock_guard<std::mutex> lock(ring_->mu);
     ring_->resident[id] = home.value();
   };
   FaultAtomicSection atomic(transport_.fault_hooks());
@@ -608,7 +555,6 @@ void GdoService::register_object(ObjectId id, std::size_t num_pages,
     const Route r = route(id);
     const NodeId serving(static_cast<std::uint32_t>(r.partition));
     Partition& part = partitions_[r.partition];
-    std::lock_guard<std::mutex> lock(part.mirror_mu);
     auto [it, inserted] = part.mirrors.try_emplace(id);
     if (!inserted)
       throw UsageError("GdoService: object " + std::to_string(id.value()) +
@@ -622,19 +568,16 @@ void GdoService::register_object(ObjectId id, std::size_t num_pages,
     return;
   }
   Partition& part = partitions_[home.value()];
-  {
-    std::lock_guard<std::mutex> lock(part.mu);
-    auto [it, inserted] = part.entries.try_emplace(id);
-    if (!inserted)
-      throw UsageError("GdoService: object " + std::to_string(id.value()) +
-                       " already registered");
-    GdoEntry& e = it->second;
-    e.num_pages = num_pages;
-    e.page_map = PageMap(num_pages, creator);
-    e.caching_sites.insert(creator);
-    note_resident();
-    replicate(id, e);
-  }
+  auto [it, inserted] = part.entries.try_emplace(id);
+  if (!inserted)
+    throw UsageError("GdoService: object " + std::to_string(id.value()) +
+                     " already registered");
+  GdoEntry& e = it->second;
+  e.num_pages = num_pages;
+  e.page_map = PageMap(num_pages, creator);
+  e.caching_sites.insert(creator);
+  note_resident();
+  replicate(id, e);
 }
 
 AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
@@ -643,7 +586,6 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "acquire");
   note_serve(id, r);
@@ -652,7 +594,7 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
   transport_.send({MessageKind::kLockAcquireRequest, requester, serving, id,
                    wire::kLockRecordBytes});
   // Directory-side serve span: the emulation's call is synchronous, so the
-  // requester's context is still on this thread — the span lands on the
+  // requester's span is still open in this context — the span lands on the
   // serving node's directory lane, causally linked to the requester's
   // gdo.round.  Everything the serve does (callback rounds, grant sends)
   // nests inside it.
@@ -669,7 +611,7 @@ AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
   // lock is gone (the runner re-acquires from scratch after a crash).
   if (const FaultHooks* hooks = transport_.fault_hooks()) {
     std::vector<Grant> scratch;  // grants reach their sites via the hook
-    reap_dead_locked(id, e, serving, /*ignore_leases=*/false, scratch);
+    reap_dead(id, e, serving, /*ignore_leases=*/false, scratch);
     if (const auto self = e.holders.find(fam);
         self != e.holders.end() &&
         hooks->crash_count(self->second.node) > self->second.epoch) {
@@ -851,9 +793,10 @@ Lsn GdoService::apply_release(ObjectId id, GdoEntry& e, FamilyId family,
       e.page_map.record_update(info->dirty, releasing_node, stamped,
                                info->commit_tick);
       if (check_ != nullptr)
-        for (const PageIndex p : info->dirty.to_vector())
+        info->dirty.for_each([&](PageIndex p) {
           check_->on_directory_stamp(id, p, stamped, releasing_node,
                                      info->commit_tick);
+        });
     }
     for (const auto& [p, v] : info->current)
       e.page_map.record_current(p, releasing_node, v);
@@ -878,7 +821,6 @@ ReleaseResult GdoService::release_family(ObjectId id, FamilyId family,
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "release_family");
   note_serve(id, r);
@@ -1024,7 +966,6 @@ std::vector<Grant> GdoService::cancel_waiter(ObjectId id, FamilyId family) {
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   FaultAtomicSection atomic(transport_.fault_hooks());
   GdoEntry& e = find_serving(map, id, r, "cancel_waiter");
@@ -1043,7 +984,6 @@ bool GdoService::retain_release(ObjectId id, FamilyId family, NodeId node) {
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "retain_release");
   note_serve(id, r);
@@ -1089,7 +1029,6 @@ std::optional<LockMode> GdoService::local_regrant(ObjectId id,
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "local_regrant");
   note_serve(id, r);
@@ -1124,7 +1063,6 @@ void GdoService::forget_cached(ObjectId id, NodeId node) {
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "forget_cached");
   note_serve(id, r);
@@ -1143,7 +1081,6 @@ void GdoService::flush_cached(
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "flush_cached");
   note_serve(id, r);
@@ -1172,7 +1109,6 @@ PageMap GdoService::lookup_page_map(ObjectId id, NodeId requester) {
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   const GdoEntry& e = find_serving(map, id, r, "lookup_page_map");
   note_serve(id, r);
@@ -1190,7 +1126,6 @@ GdoService::SnapshotMap GdoService::snapshot_lookup(ObjectId id,
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   const GdoEntry& e = find_serving(map, id, r, "snapshot_lookup");
   // Pure directory read: no lock state consulted or mutated, no queueing
@@ -1209,7 +1144,6 @@ GdoService::SnapshotMap GdoService::snapshot_lookup(ObjectId id,
 std::vector<NodeId> GdoService::caching_sites(ObjectId id) const {
   const Route r = route(id);
   const Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   const auto& map = r.failover ? part.mirrors : part.entries;
   const GdoEntry& e = const_cast<GdoService*>(this)->find_serving(
       const_cast<FlatMap<ObjectId, GdoEntry>&>(map), id, r, "caching_sites");
@@ -1220,7 +1154,6 @@ void GdoService::note_caching_site(ObjectId id, NodeId node) {
   ring_catch_up(id);
   const Route r = route(id);
   Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   auto& map = r.failover ? part.mirrors : part.entries;
   find_serving(map, id, r, "note_caching_site").caching_sites.insert(node);
 }
@@ -1228,7 +1161,6 @@ void GdoService::note_caching_site(ObjectId id, NodeId node) {
 std::vector<GdoService::WaitEdge> GdoService::wait_edges() const {
   std::vector<WaitEdge> edges;
   for (const auto& part : partitions_) {
-    std::lock_guard<std::mutex> lock(part.mu);
     for (const auto& [id, e] : part.entries) {
       for (std::size_t wi = 0; wi < e.waiters.size(); ++wi) {
         const WaiterFamily& w = e.waiters[wi];
@@ -1255,7 +1187,6 @@ std::vector<GdoService::WaitEdge> GdoService::wait_edges() const {
 GdoEntry GdoService::snapshot(ObjectId id) const {
   const Route r = route(id);
   const Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   const auto& map = r.failover ? part.mirrors : part.entries;
   return const_cast<GdoService*>(this)->find_serving(
       const_cast<FlatMap<ObjectId, GdoEntry>&>(map), id, r, "snapshot");
@@ -1264,7 +1195,6 @@ GdoEntry GdoService::snapshot(ObjectId id) const {
 Lsn GdoService::version_counter(ObjectId id) const {
   const Route r = route(id);
   const Partition& part = partitions_[r.partition];
-  std::unique_lock<std::mutex> lock(r.failover ? part.mirror_mu : part.mu);
   const auto& map = r.failover ? part.mirrors : part.entries;
   return const_cast<GdoService*>(this)
       ->find_serving(const_cast<FlatMap<ObjectId, GdoEntry>&>(map), id, r,
@@ -1275,7 +1205,6 @@ Lsn GdoService::version_counter(ObjectId id) const {
 std::size_t GdoService::num_objects() const {
   std::size_t n = 0;
   for (const auto& part : partitions_) {
-    std::lock_guard<std::mutex> lock(part.mu);
     n += part.entries.size();
   }
   return n;
@@ -1285,7 +1214,6 @@ std::vector<ObjectId> GdoService::objects_homed_at(NodeId node) const {
   if (!node.valid() || node.value() >= partitions_.size())
     throw UsageError("GdoService: node id out of range");
   const Partition& part = partitions_[node.value()];
-  std::lock_guard<std::mutex> lock(part.mu);
   std::vector<ObjectId> out;
   out.reserve(part.entries.size());
   for (const auto& [id, e] : part.entries) out.push_back(id);
@@ -1312,7 +1240,6 @@ void GdoService::replicate(ObjectId id, const GdoEntry& entry) {
         continue;  // endpoint crashed mid-sync: one ack short
       }
       Partition& tp = partitions_[t.value()];
-      std::lock_guard<std::mutex> lock(tp.mirror_mu);
       tp.mirrors[id] = entry;
       ++acks;
     }
@@ -1336,7 +1263,6 @@ void GdoService::replicate(ObjectId id, const GdoEntry& entry) {
     return;
   }
   Partition& mpart = partitions_[mirror.value()];
-  std::lock_guard<std::mutex> lock(mpart.mirror_mu);
   mpart.mirrors[id] = entry;
 }
 
@@ -1357,7 +1283,6 @@ void GdoService::replicate_failover(ObjectId id, const GdoEntry& entry,
         continue;  // candidate crashed mid-sync: try the next survivor
       }
       Partition& cpart = partitions_[cand.value()];
-      std::lock_guard<std::mutex> lock(cpart.mirror_mu);
       cpart.mirrors[id] = entry;
       return;
     }
@@ -1376,10 +1301,7 @@ void GdoService::replicate_failover(ObjectId id, const GdoEntry& entry,
     } catch (const Error&) {
       continue;  // candidate crashed mid-sync: try the next survivor
     }
-    // Both mirror maps may be touched only under their own mirror_mu; under
-    // the token scheduler (required with fault hooks) this nesting is safe.
     Partition& cpart = partitions_[cand.value()];
-    std::lock_guard<std::mutex> lock(cpart.mirror_mu);
     cpart.mirrors[id] = entry;
     return;
   }
@@ -1389,24 +1311,12 @@ void GdoService::on_node_crash(NodeId node) {
   if (!node.valid() || node.value() >= partitions_.size())
     throw UsageError("GdoService: node id out of range");
   Partition& part = partitions_[node.value()];
-  {
-    std::lock_guard<std::mutex> lock(part.mu);
-    part.entries.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(part.mirror_mu);
-    part.mirrors.clear();
-  }
+  part.entries.clear();
+  part.mirrors.clear();
   // The dead site caches nothing and cannot receive eager pushes.
   for (Partition& p : partitions_) {
-    {
-      std::lock_guard<std::mutex> lock(p.mu);
-      for (auto& [id, e] : p.entries) e.caching_sites.erase(node);
-    }
-    {
-      std::lock_guard<std::mutex> lock(p.mirror_mu);
-      for (auto& [id, e] : p.mirrors) e.caching_sites.erase(node);
-    }
+    for (auto& [id, e] : p.entries) e.caching_sites.erase(node);
+    for (auto& [id, e] : p.mirrors) e.caching_sites.erase(node);
   }
 }
 
@@ -1430,7 +1340,6 @@ std::size_t GdoService::rebuild_node(NodeId node) {
         (node.value() + k) % partitions_.size()));
     if (!transport_.reachable(holder)) continue;
     const Partition& part = partitions_[holder.value()];
-    std::lock_guard<std::mutex> lock(part.mirror_mu);
     for (const auto& [id, e] : part.mirrors) {
       if (home_of(id) != node) continue;
       const auto it = best.find(id);
@@ -1450,10 +1359,7 @@ std::size_t GdoService::rebuild_node(NodeId node) {
     } catch (const Error&) {
       continue;  // source died mid-rebuild; the entry stays missing for now
     }
-    {
-      std::lock_guard<std::mutex> lock(mine.mu);
-      mine.entries[id] = copy.first;
-    }
+    mine.entries[id] = copy.first;
     // Freshen the canonical mirror from the adopted copy and drop every
     // other chain copy: they freeze the moment the home serves again, and
     // a later rebuild must not be able to resurrect one.
@@ -1462,7 +1368,6 @@ std::size_t GdoService::rebuild_node(NodeId node) {
     for (std::size_t p = 0; p < partitions_.size(); ++p) {
       if (p == node.value() || p == canon.value()) continue;
       Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
       part.mirrors.erase(id);
     }
     ++rebuilt;
@@ -1474,12 +1379,9 @@ std::size_t GdoService::rebuild_node(NodeId node) {
     const NodeId home(static_cast<std::uint32_t>(p));
     if (home == node || !transport_.reachable(home)) continue;
     std::map<ObjectId, GdoEntry> to_mirror;
-    {
-      const Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mu);
-      for (const auto& [id, e] : part.entries)
-        if (mirror_of(id) == node) to_mirror.emplace(id, e);
-    }
+    const Partition& part = partitions_[p];
+    for (const auto& [id, e] : part.entries)
+      if (mirror_of(id) == node) to_mirror.emplace(id, e);
     for (auto& [id, e] : to_mirror) {
       try {
         transport_.send({MessageKind::kGdoRebuildRequest, node, home, id,
@@ -1489,7 +1391,6 @@ std::size_t GdoService::rebuild_node(NodeId node) {
       } catch (const Error&) {
         continue;
       }
-      std::lock_guard<std::mutex> lock(mine.mirror_mu);
       mine.mirrors[id] = std::move(e);
     }
   }
@@ -1514,7 +1415,6 @@ std::size_t GdoService::rebuild_node(NodeId node) {
           static_cast<std::uint32_t>((node.value() + k) % n));
       if (!transport_.reachable(holder)) continue;
       const Partition& part = partitions_[holder.value()];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
       for (const auto& [id, e] : part.mirrors) {
         if (mirror_of(id) != node) continue;
         const NodeId home = home_of(id);
@@ -1538,7 +1438,6 @@ std::size_t GdoService::rebuild_node(NodeId node) {
       } catch (const Error&) {
         continue;
       }
-      std::lock_guard<std::mutex> lock(mine.mirror_mu);
       mine.mirrors[id] = std::move(c.entry);
     }
   }
@@ -1560,15 +1459,12 @@ std::size_t GdoService::rebuild_node_ring(NodeId node) {
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     const NodeId holder(static_cast<std::uint32_t>(p));
     if (holder == node || !transport_.reachable(holder)) continue;
-    // Collect ids first: chain-position lookup takes the ring lock, which
-    // must nest inside the partition locks, not interleave with them.
+    // Copy this holder's candidate entries, then rank them by chain
+    // position.
     std::vector<std::pair<ObjectId, GdoEntry>> copies;
-    {
-      const Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
-      for (const auto& [id, e] : part.mirrors)
-        if (resident_of(id) == node) copies.emplace_back(id, e);
-    }
+    const Partition& part = partitions_[p];
+    for (const auto& [id, e] : part.mirrors)
+      if (resident_of(id) == node) copies.emplace_back(id, e);
     for (auto& [id, e] : copies) {
       const std::vector<NodeId> chain = failover_chain(id);
       const auto at = std::find(chain.begin(), chain.end(), holder);
@@ -1592,10 +1488,7 @@ std::size_t GdoService::rebuild_node_ring(NodeId node) {
     } catch (const Error&) {
       continue;  // source died mid-rebuild; the entry stays missing for now
     }
-    {
-      std::lock_guard<std::mutex> lock(mine.mu);
-      mine.entries[id] = c.entry;
-    }
+    mine.entries[id] = c.entry;
     // Refresh the quorum group from the adopted copy and retire every other
     // chain copy so a later rebuild cannot resurrect one.
     replicate(id, c.entry);
@@ -1605,7 +1498,6 @@ std::size_t GdoService::rebuild_node_ring(NodeId node) {
       if (cand == node) continue;
       if (std::find(keep.begin(), keep.end(), cand) != keep.end()) continue;
       Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mirror_mu);
       part.mirrors.erase(id);
     }
     ++rebuilt;
@@ -1617,11 +1509,8 @@ std::size_t GdoService::rebuild_node_ring(NodeId node) {
     const NodeId res(static_cast<std::uint32_t>(p));
     if (res == node || !transport_.reachable(res)) continue;
     std::vector<std::pair<ObjectId, GdoEntry>> copies;
-    {
-      const Partition& part = partitions_[p];
-      std::lock_guard<std::mutex> lock(part.mu);
-      for (const auto& [id, e] : part.entries) copies.emplace_back(id, e);
-    }
+    const Partition& part = partitions_[p];
+    for (const auto& [id, e] : part.entries) copies.emplace_back(id, e);
     for (auto& [id, e] : copies) {
       const std::vector<NodeId> group = mirror_targets(id, res);
       if (std::find(group.begin(), group.end(), node) == group.end())
@@ -1634,7 +1523,6 @@ std::size_t GdoService::rebuild_node_ring(NodeId node) {
       } catch (const Error&) {
         continue;
       }
-      std::lock_guard<std::mutex> lock(mine.mirror_mu);
       mine.mirrors[id] = std::move(e);
     }
   }
@@ -1646,23 +1534,18 @@ void GdoService::reclaim_crashed(bool ignore_leases) {
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
     Partition& part = partitions_[p];
     std::vector<ObjectId> ids;
-    {
-      std::lock_guard<std::mutex> lock(part.mu);
-      ids.reserve(part.entries.size());
-      for (const auto& [id, e] : part.entries) ids.push_back(id);
-    }
+    ids.reserve(part.entries.size());
+    for (const auto& [id, e] : part.entries) ids.push_back(id);
     std::sort(ids.begin(), ids.end(),
               [](ObjectId a, ObjectId b) { return a.value() < b.value(); });
     for (const ObjectId id : ids) {
-      std::lock_guard<std::mutex> lock(part.mu);
       const auto it = part.entries.find(id);
       if (it == part.entries.end()) continue;
       FaultAtomicSection atomic(transport_.fault_hooks());
       const std::uint64_t before = stats_.reclaimed->value() + stats_.purged->value();
       std::vector<Grant> wakeups;
-      reap_dead_locked(id, it->second,
-                       NodeId(static_cast<std::uint32_t>(p)), ignore_leases,
-                       wakeups);
+      reap_dead(id, it->second, NodeId(static_cast<std::uint32_t>(p)),
+                ignore_leases, wakeups);
       // A reap that freed or purged anything diverged from the mirror copy;
       // sync it like any other mutation (a crash right after the reap must
       // not resurrect the reclaimed holder from the stale mirror).

@@ -18,9 +18,7 @@
 // All cross-node traffic generated here is charged through the Transport.
 #pragma once
 
-#include <atomic>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -210,12 +208,11 @@ class GdoService {
   /// releasing runner believes it stamped.  Owned by the caller.
   void set_check_sink(CheckSink* sink) noexcept { check_ = sink; }
 
-  /// Install a delivery hook invoked — under the entry's partition lock —
-  /// for every Grant produced by a release or cancellation.  Delivering
-  /// inside the lock serializes grant delivery against cancel_waiter, so a
-  /// deadlock victim cannot miss a grant that raced with its cancellation.
-  /// When set, callers must NOT also act on the Grants returned from
-  /// release/cancel calls.
+  /// Install a delivery hook invoked for every Grant produced by a release
+  /// or cancellation, inside the serve that produced it, so a deadlock
+  /// victim cannot miss a grant issued before its cancellation.  When set,
+  /// callers must NOT also act on the Grants returned from release/cancel
+  /// calls.
   void set_grant_delivery(std::function<void(const Grant&)> hook) {
     grant_delivery_ = std::move(hook);
   }
@@ -282,8 +279,8 @@ class GdoService {
   BatchReleaseResult release_batch(FamilyId family, NodeId node,
                                    const std::vector<ReleaseItem>& items);
 
-  /// The entry's version_counter alone, read under the same route and lock
-  /// as snapshot() without copying the entry (the commit path's hot read).
+  /// The entry's version_counter alone, read through the same route as
+  /// snapshot() without copying the entry (the commit path's hot read).
   [[nodiscard]] Lsn version_counter(ObjectId id) const;
 
   /// Remove a family's queued request (deadlock victim / cancelled txn).
@@ -293,9 +290,8 @@ class GdoService {
   // --- inter-family lock caching (callback-locking extension) -------------
 
   /// Install the revocation seam: when a conflicting acquire must call back
-  /// a site's cached lock, the directory invokes this handler — under the
-  /// entry's partition lock, between the (charged) kLockCallback and
-  /// kCallbackReply messages — and the site returns its pending flush
+  /// a site's cached lock, the directory invokes this handler — between
+  /// the (charged) kLockCallback and kCallbackReply messages — and the site returns its pending flush
   /// records while erasing/downgrading its cache entry for `object`.
   void set_callback_handler(
       std::function<CachedFlush(ObjectId, NodeId, LockMode)> handler) {
@@ -352,14 +348,14 @@ class GdoService {
   /// without preemption, so allocation and publication are atomic with
   /// respect to every other family.
   [[nodiscard]] std::uint64_t allocate_commit_tick() noexcept {
-    return commit_tick_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    return ++commit_tick_;
   }
 
   /// Newest published commit tick — the stamp a starting read-only family
   /// adopts.  Disseminated by piggybacking on existing frames (like the
   /// PR 5 causal header), so reading it costs no messages.
   [[nodiscard]] std::uint64_t current_commit_tick() const noexcept {
-    return commit_tick_.load(std::memory_order_acquire);
+    return commit_tick_;
   }
 
   /// A snapshot map: the object's page map plus the commit tick it is
@@ -427,13 +423,9 @@ class GdoService {
   [[nodiscard]] std::vector<ObjectId> objects_homed_at(NodeId node) const;
 
  private:
+  /// One node's share of the directory: `entries` are the objects homed
+  /// here, `mirrors` the replicas of entries homed elsewhere.
   struct Partition {
-    /// Protects `entries` (objects homed here).
-    mutable std::mutex mu;
-    /// Protects `mirrors` (replicas of entries homed elsewhere).  Lock
-    /// ordering: an entry `mu` may be held while taking a `mirror_mu`
-    /// (replication), never the reverse.
-    mutable std::mutex mirror_mu;
     // FlatMap: the entry lookup is on every acquire/release/lookup path —
     // the single hottest table in the system.  All iteration over these
     // maps is order-insensitive (wait_edges feeds a sorting detector,
@@ -445,10 +437,6 @@ class GdoService {
   /// Elastic-directory state, allocated only when config_.ring.enabled —
   /// the knob-off path never touches it (bit-identity contract).
   struct RingState {
-    /// Guards everything below.  The token scheduler runs one family at a
-    /// time, so contention is nil; the lock keeps the introspection
-    /// accessors safe from arbitrary threads.
-    mutable std::mutex mu;
     /// Ring per placement epoch: history[e] is the membership a node whose
     /// view is e believes in (redirect modeling); history.back() == ring.
     std::vector<HashRing> history;
@@ -520,7 +508,7 @@ class GdoService {
                     std::vector<Grant>& wakeups);
 
   /// Grant as many waiters as the state allows; appends to `out` and sends
-  /// + charges the wakeup messages.  Caller holds the partition lock.
+  /// + charges the wakeup messages.
   void grant_waiters(ObjectId id, GdoEntry& entry, NodeId serving_node,
                      std::vector<Grant>& out);
 
@@ -533,17 +521,15 @@ class GdoService {
 
   /// Purge waiters from dead incarnations and reclaim orphaned holders and
   /// cached-holder markers whose lease has expired (or all orphans with
-  /// `ignore_leases`); grants freed waiters.  Caller holds the serving
-  /// partition lock.  No-op without fault hooks.
-  void reap_dead_locked(ObjectId id, GdoEntry& entry, NodeId serving,
-                        bool ignore_leases, std::vector<Grant>& wakeups);
+  /// `ignore_leases`); grants freed waiters.  No-op without fault hooks.
+  void reap_dead(ObjectId id, GdoEntry& entry, NodeId serving,
+                 bool ignore_leases, std::vector<Grant>& wakeups);
 
   /// Revoke every cached-holder marker that conflicts with `mode` before a
   /// request from `requester` is served: the requester's own marker is
   /// dropped silently (its site flushed before re-acquiring), live markers
   /// get a callback round (flush + erase, or downgrade to read when the
-  /// request is a read), dead markers wait out their lease.  Caller holds
-  /// the serving partition lock.
+  /// request is a read), dead markers wait out their lease.
   void revoke_conflicting_cached(ObjectId id, GdoEntry& entry, NodeId serving,
                                  NodeId requester, LockMode mode);
 
@@ -566,8 +552,7 @@ class GdoService {
                                        ObjectId id, Route r, const char* op);
 
   /// Synchronously copy the (mutated) entry to the mirror and charge the
-  /// replication traffic.  Caller holds the home partition lock only.
-  /// Degrades (skips) if the mirror is down or crashes mid-sync.
+  /// replication traffic.  Degrades (skips) if the mirror is down or crashes mid-sync.
   void replicate(ObjectId id, const GdoEntry& entry);
 
   /// Failover counterpart of replicate(): while the home is down, the
@@ -592,15 +577,14 @@ class GdoService {
   CheckSink* check_ = nullptr;
   /// Fallback registry for standalone use (null when the cluster owns one).
   std::unique_ptr<MetricsRegistry> owned_metrics_;
-  /// Registry handles; tallies are token-serialized when their feature
-  /// (fault hooks / lock cache) is on, relaxed-atomic regardless.
+  /// Registry handles.
   GdoStats stats_;
   RingStats ring_stats_;
   /// Elastic-directory state; null unless config_.ring.enabled.
   std::unique_ptr<RingState> ring_;
   /// Global monotone commit tick (mv_read): one per committing family,
   /// allocated at release-stamp time.
-  std::atomic<std::uint64_t> commit_tick_{0};
+  std::uint64_t commit_tick_ = 0;
 };
 
 }  // namespace lotec

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -20,7 +19,6 @@ class ClassRegistry {
  public:
   /// Register a class built from `builder`; returns its id.
   ClassId register_class(const ClassBuilder& builder) {
-    std::lock_guard<std::mutex> lock(mu_);
     const ClassId id(static_cast<std::uint32_t>(classes_.size()));
     auto cls = std::make_unique<ClassDef>(builder.build(id));
     if (by_name_.count(cls->name()))
@@ -32,14 +30,12 @@ class ClassRegistry {
   }
 
   [[nodiscard]] const ClassDef& get(ClassId id) const {
-    std::lock_guard<std::mutex> lock(mu_);
     if (!id.valid() || id.value() >= classes_.size())
       throw UsageError("ClassRegistry: class id out of range");
     return *classes_[id.value()];
   }
 
   [[nodiscard]] ClassId find(const std::string& name) const {
-    std::lock_guard<std::mutex> lock(mu_);
     const auto it = by_name_.find(name);
     if (it == by_name_.end())
       throw UsageError("ClassRegistry: no class named '" + name + "'");
@@ -47,12 +43,10 @@ class ClassRegistry {
   }
 
   [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return classes_.size();
   }
 
  private:
-  mutable std::mutex mu_;
   std::vector<std::unique_ptr<ClassDef>> classes_;
   std::unordered_map<std::string, ClassId> by_name_;
 };

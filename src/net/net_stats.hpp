@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -62,127 +61,6 @@ class NetworkStats {
   /// charging a batch entry header instead of a full frame header and no new
   /// physical send.
   void record(const WireMessage& m, bool joined_batch = false) {
-    std::lock_guard<std::mutex> lock(mu_);
-    record_locked(m, joined_batch);
-  }
-
-  /// Record a message sent to `fanout` destinations.  With multicast
-  /// enabled the network carries one copy; otherwise `fanout` copies.
-  void record_multicast(const WireMessage& m, std::size_t fanout,
-                        bool multicast_capable) {
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t copies = multicast_capable ? 1 : fanout;
-    for (std::size_t i = 0; i < copies; ++i) record_locked(m);
-  }
-
-  /// Enable tracing of every message (bounded; oldest events are NOT
-  /// evicted — recording stops at capacity and drop_count() reports the
-  /// overflow).
-  void enable_trace(std::size_t capacity) {
-    std::lock_guard<std::mutex> lock(mu_);
-    trace_capacity_ = capacity;
-    trace_.clear();
-    trace_.reserve(std::min<std::size_t>(capacity, 1 << 16));
-    trace_dropped_ = 0;
-  }
-
-  [[nodiscard]] std::vector<TraceEvent> trace() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return trace_;
-  }
-
-  [[nodiscard]] std::uint64_t trace_dropped() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return trace_dropped_;
-  }
-
-  /// Count a purely local lock operation (no network traffic).
-  void record_local_lock_op() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++local_lock_ops_;
-  }
-
-  // --- queries -----------------------------------------------------------
-
-  [[nodiscard]] TrafficCounter total() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return total_;
-  }
-
-  [[nodiscard]] TrafficCounter by_kind(MessageKind k) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return by_kind_[static_cast<std::size_t>(k)];
-  }
-
-  /// Traffic attributed to one shared object (zero counter if none).
-  [[nodiscard]] TrafficCounter by_object(ObjectId id) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = by_object_.find(id);
-    return it == by_object_.end() ? TrafficCounter{} : it->second;
-  }
-
-  /// All per-object rows (copy; the internal table is a FlatMap but callers
-  /// keep the familiar unordered_map shape).
-  [[nodiscard]] std::unordered_map<ObjectId, TrafficCounter> per_object()
-      const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unordered_map<ObjectId, TrafficCounter> out;
-    out.reserve(by_object_.size());
-    for (const auto& [id, c] : by_object_) out.emplace(id, c);
-    return out;
-  }
-
-  /// Bytes of page data only (excluding control traffic), per object.
-  [[nodiscard]] TrafficCounter page_data_by_object(ObjectId id) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = page_data_by_object_.find(id);
-    return it == page_data_by_object_.end() ? TrafficCounter{} : it->second;
-  }
-
-  [[nodiscard]] std::uint64_t local_lock_ops() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return local_lock_ops_;
-  }
-
-  /// Physical wire traffic: frames actually put on the network after
-  /// batching.  Equals total() exactly when batching is off (or never
-  /// coalesced anything); with batching on, messages here counts frames and
-  /// bytes reflects the per-entry header saving.
-  [[nodiscard]] TrafficCounter physical() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return physical_;
-  }
-
-  /// Logical messages that rode an existing batch frame instead of paying a
-  /// physical send of their own.
-  [[nodiscard]] std::uint64_t batched_joins() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return batched_joins_;
-  }
-
-  /// Total consistency-maintenance time for one object under a cost model
-  /// (sum of per-message software cost + transmission time).
-  [[nodiscard]] double object_time_us(ObjectId id,
-                                      const NetworkCostModel& model) const {
-    const TrafficCounter c = by_object(id);
-    return model.total_time_us(c.messages, c.bytes);
-  }
-
-  void reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    total_ = {};
-    by_kind_.fill(TrafficCounter{});
-    by_object_.clear();
-    page_data_by_object_.clear();
-    physical_ = {};
-    batched_joins_ = 0;
-    local_lock_ops_ = 0;
-    trace_.clear();
-    trace_dropped_ = 0;
-  }
-
- private:
-  void record_locked(const WireMessage& m, bool joined_batch = false) {
     const std::uint64_t n = m.total_bytes();
     total_.add(n);
     by_kind_[static_cast<std::size_t>(m.kind)].add(n);
@@ -208,7 +86,108 @@ class NetworkStats {
     }
   }
 
-  mutable std::mutex mu_;
+  /// Record a message sent to `fanout` destinations.  With multicast
+  /// enabled the network carries one copy; otherwise `fanout` copies.
+  void record_multicast(const WireMessage& m, std::size_t fanout,
+                        bool multicast_capable) {
+    const std::size_t copies = multicast_capable ? 1 : fanout;
+    for (std::size_t i = 0; i < copies; ++i) record(m);
+  }
+
+  /// Enable tracing of every message (bounded; oldest events are NOT
+  /// evicted — recording stops at capacity and drop_count() reports the
+  /// overflow).
+  void enable_trace(std::size_t capacity) {
+    trace_capacity_ = capacity;
+    trace_.clear();
+    trace_.reserve(std::min<std::size_t>(capacity, 1 << 16));
+    trace_dropped_ = 0;
+  }
+
+  [[nodiscard]] std::vector<TraceEvent> trace() const {
+    return trace_;
+  }
+
+  [[nodiscard]] std::uint64_t trace_dropped() const {
+    return trace_dropped_;
+  }
+
+  /// Count a purely local lock operation (no network traffic).
+  void record_local_lock_op() {
+    ++local_lock_ops_;
+  }
+
+  // --- queries -----------------------------------------------------------
+
+  [[nodiscard]] TrafficCounter total() const {
+    return total_;
+  }
+
+  [[nodiscard]] TrafficCounter by_kind(MessageKind k) const {
+    return by_kind_[static_cast<std::size_t>(k)];
+  }
+
+  /// Traffic attributed to one shared object (zero counter if none).
+  [[nodiscard]] TrafficCounter by_object(ObjectId id) const {
+    const auto it = by_object_.find(id);
+    return it == by_object_.end() ? TrafficCounter{} : it->second;
+  }
+
+  /// All per-object rows (copy; the internal table is a FlatMap but callers
+  /// keep the familiar unordered_map shape).
+  [[nodiscard]] std::unordered_map<ObjectId, TrafficCounter> per_object()
+      const {
+    std::unordered_map<ObjectId, TrafficCounter> out;
+    out.reserve(by_object_.size());
+    for (const auto& [id, c] : by_object_) out.emplace(id, c);
+    return out;
+  }
+
+  /// Bytes of page data only (excluding control traffic), per object.
+  [[nodiscard]] TrafficCounter page_data_by_object(ObjectId id) const {
+    const auto it = page_data_by_object_.find(id);
+    return it == page_data_by_object_.end() ? TrafficCounter{} : it->second;
+  }
+
+  [[nodiscard]] std::uint64_t local_lock_ops() const {
+    return local_lock_ops_;
+  }
+
+  /// Physical wire traffic: frames actually put on the network after
+  /// batching.  Equals total() exactly when batching is off (or never
+  /// coalesced anything); with batching on, messages here counts frames and
+  /// bytes reflects the per-entry header saving.
+  [[nodiscard]] TrafficCounter physical() const {
+    return physical_;
+  }
+
+  /// Logical messages that rode an existing batch frame instead of paying a
+  /// physical send of their own.
+  [[nodiscard]] std::uint64_t batched_joins() const {
+    return batched_joins_;
+  }
+
+  /// Total consistency-maintenance time for one object under a cost model
+  /// (sum of per-message software cost + transmission time).
+  [[nodiscard]] double object_time_us(ObjectId id,
+                                      const NetworkCostModel& model) const {
+    const TrafficCounter c = by_object(id);
+    return model.total_time_us(c.messages, c.bytes);
+  }
+
+  void reset() {
+    total_ = {};
+    by_kind_.fill(TrafficCounter{});
+    by_object_.clear();
+    page_data_by_object_.clear();
+    physical_ = {};
+    batched_joins_ = 0;
+    local_lock_ops_ = 0;
+    trace_.clear();
+    trace_dropped_ = 0;
+  }
+
+ private:
   TrafficCounter total_;
   std::array<TrafficCounter, static_cast<std::size_t>(MessageKind::kNumKinds)>
       by_kind_{};

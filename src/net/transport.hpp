@@ -177,9 +177,10 @@ class Transport {
 
   /// Polymorphic: the wire transport (src/wire) overrides the three
   /// behavioral entry points below to ship each accounted message through
-  /// real worker processes.  NetworkStats holds a mutex, so Transport was
-  /// never copyable; slicing is not a hazard.
+  /// real worker processes.  Not copyable, so slicing is not a hazard.
   virtual ~Transport() = default;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return failed_.size();

@@ -12,19 +12,14 @@ namespace lotec {
 
 FlightRecorder::FlightRecorder(std::size_t nodes, std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {
-  rings_.reserve(nodes);
-  for (std::size_t i = 0; i < nodes; ++i) {
-    auto ring = std::make_unique<NodeRing>();
-    ring->slots.resize(capacity_);
-    rings_.push_back(std::move(ring));
-  }
+  rings_.resize(nodes);
+  for (NodeRing& ring : rings_) ring.slots.resize(capacity_);
 }
 
 void FlightRecorder::put(std::uint32_t node, FlightEvent ev) {
   if (node >= rings_.size()) return;
-  NodeRing& ring = *rings_[node];
-  const std::uint64_t slot =
-      ring.next.fetch_add(1, std::memory_order_relaxed) % capacity_;
+  NodeRing& ring = rings_[node];
+  const std::uint64_t slot = ring.next++ % capacity_;
   ev.node = node;
   ring.slots[slot] = ev;
 }
@@ -36,7 +31,7 @@ void FlightRecorder::note_message(std::string_view kind, std::uint32_t src,
   FlightEvent ev;
   ev.kind = FlightEvent::Kind::kMessage;
   ev.name = kind;
-  ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  ev.seq = seq_++;
   ev.object = object;
   ev.trace = ctx.trace_id;
   ev.link = ctx.parent_span;
@@ -51,7 +46,7 @@ void FlightRecorder::note_span_begin(const SpanRecord& span) {
   FlightEvent ev;
   ev.kind = FlightEvent::Kind::kSpanBegin;
   ev.name = to_string(span.phase);
-  ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  ev.seq = seq_++;
   ev.id = span.id;
   ev.parent = span.parent;
   ev.family = span.family;
@@ -65,7 +60,7 @@ void FlightRecorder::note_span_end(const SpanRecord& span) {
   FlightEvent ev;
   ev.kind = FlightEvent::Kind::kSpanEnd;
   ev.name = to_string(span.phase);
-  ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  ev.seq = seq_++;
   ev.id = span.id;
   ev.parent = span.parent;
   ev.family = span.family;
@@ -79,7 +74,7 @@ void FlightRecorder::note_instant(const SpanRecord& span) {
   FlightEvent ev;
   ev.kind = FlightEvent::Kind::kInstant;
   ev.name = to_string(span.phase);
-  ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  ev.seq = seq_++;
   ev.id = span.id;
   ev.parent = span.parent;
   ev.family = span.family;
@@ -93,14 +88,14 @@ void FlightRecorder::note_crash(std::uint32_t node) {
   FlightEvent ev;
   ev.kind = FlightEvent::Kind::kCrash;
   ev.name = "crash";
-  ev.seq = seq_.fetch_add(1, std::memory_order_relaxed);
+  ev.seq = seq_++;
   put(node, ev);
 }
 
 std::vector<FlightEvent> FlightRecorder::events(std::uint32_t node) const {
   std::vector<FlightEvent> out;
   if (node >= rings_.size()) return out;
-  const NodeRing& ring = *rings_[node];
+  const NodeRing& ring = rings_[node];
   for (const FlightEvent& ev : ring.slots)
     if (ev.kind != FlightEvent::Kind::kNone) out.push_back(ev);
   std::sort(out.begin(), out.end(),

@@ -7,11 +7,8 @@
 //   - no allocation on the hot path: every slot is pre-allocated at
 //     construction and events carry only POD fields plus string_views into
 //     static storage (phase names, MessageKind names);
-//   - lock-free writes: a slot is claimed with one fetch_add and filled
-//     with plain stores.  Concurrent writers to one ring (two sender
-//     threads with the same destination) get distinct slots; a reader
-//     racing a writer could see a torn slot, which is why reads are
-//     post-mortem only — at a crash instant or after quiescence.
+//   - cheap writes: a slot is claimed by bumping the ring cursor and
+//     filled with plain stores.
 //
 // dump() renders the rings as Chrome trace-event JSON (Perfetto-loadable):
 // matched begin/end pairs become complete ("X") slices, a begin whose end
@@ -22,10 +19,8 @@
 // off, so the recorder cannot borrow it.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,15 +97,15 @@ class FlightRecorder {
 
  private:
   struct NodeRing {
-    std::atomic<std::uint64_t> next{0};
+    std::uint64_t next = 0;
     std::vector<FlightEvent> slots;
   };
 
   void put(std::uint32_t node, FlightEvent ev);
 
   std::size_t capacity_;
-  std::atomic<std::uint64_t> seq_{1};
-  std::vector<std::unique_ptr<NodeRing>> rings_;
+  std::uint64_t seq_ = 1;
+  std::vector<NodeRing> rings_;
 };
 
 }  // namespace lotec

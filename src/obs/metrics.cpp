@@ -38,7 +38,6 @@ double HistogramSnapshot::percentile(double p) const noexcept {
 }
 
 void LatencyHistogram::record(std::uint64_t ticks) noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
   if (data_.count == 0) {
     data_.min = ticks;
     data_.max = ticks;
@@ -52,17 +51,14 @@ void LatencyHistogram::record(std::uint64_t ticks) noexcept {
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return data_;
 }
 
 void LatencyHistogram::reset() noexcept {
-  std::lock_guard<std::mutex> lock(mu_);
   data_ = HistogramSnapshot{};
 }
 
 MetricsCounter& MetricsRegistry::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
   if (!slot) {
     slot = std::make_unique<MetricsCounter>();
@@ -72,7 +68,6 @@ MetricsCounter& MetricsRegistry::counter(const std::string& name) {
 }
 
 LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
   if (!slot) {
     slot = std::make_unique<LatencyHistogram>();
@@ -82,13 +77,11 @@ LatencyHistogram& MetricsRegistry::histogram(const std::string& name) {
 }
 
 std::uint64_t MetricsRegistry::generation() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return generation_;
 }
 
 std::vector<std::pair<std::string, const MetricsCounter*>>
 MetricsRegistry::counter_handles() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, const MetricsCounter*>> out;
   out.reserve(counters_.size());
   for (const auto& [name, c] : counters_) out.emplace_back(name, c.get());
@@ -97,7 +90,6 @@ MetricsRegistry::counter_handles() const {
 
 std::vector<std::pair<std::string, const LatencyHistogram*>>
 MetricsRegistry::histogram_handles() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::pair<std::string, const LatencyHistogram*>> out;
   out.reserve(histograms_.size());
   for (const auto& [name, h] : histograms_) out.emplace_back(name, h.get());
@@ -105,27 +97,23 @@ MetricsRegistry::histogram_handles() const {
 }
 
 std::uint64_t MetricsRegistry::value(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second->value();
 }
 
 std::map<std::string, std::uint64_t> MetricsRegistry::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::uint64_t> out;
   for (const auto& [name, c] : counters_) out.emplace(name, c->value());
   return out;
 }
 
 std::map<std::string, HistogramSnapshot> MetricsRegistry::histograms() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, HistogramSnapshot> out;
   for (const auto& [name, h] : histograms_) out.emplace(name, h->snapshot());
   return out;
 }
 
 void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }

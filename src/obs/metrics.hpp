@@ -7,12 +7,12 @@
 //
 //   MetricsCounter& regrants = registry.counter("cache.regrants");
 //
-// — and the hot path is a single relaxed atomic increment through the
-// cached reference; the name -> handle map (and its mutex) is touched only
-// at registration.  Handles are stable for the registry's lifetime.
+// — and the hot path is a single increment through the cached reference;
+// the name -> handle map is touched only at registration.  Handles are
+// stable for the registry's lifetime.
 //
-// Counters are always on: they generate no messages and cost one atomic
-// add, so enabling them cannot perturb traffic (the bit-identity property
+// Counters are always on: they generate no messages and cost one add, so
+// enabling them cannot perturb traffic (the bit-identity property
 // the obs ablation gates).  Histograms are fed from span durations and only
 // accumulate while span tracing is enabled.
 //
@@ -20,33 +20,26 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace lotec {
 
-/// A monotonically increasing named tally.  Thread-safe (relaxed atomics:
-/// counters are statistics, never synchronization).
+/// A monotonically increasing named tally.
 class MetricsCounter {
  public:
-  void add(std::uint64_t n = 1) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void add(std::uint64_t n = 1) noexcept { value_ += n; }
 
-  [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
 
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept { value_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  std::uint64_t value_ = 0;
 };
 
 /// Point-in-time copy of a histogram (what ScenarioResult carries).
@@ -73,9 +66,8 @@ struct HistogramSnapshot {
   [[nodiscard]] double percentile(double p) const noexcept;
 };
 
-/// Fixed-bucket latency histogram over logical-tick durations.  Recording
-/// takes a leaf mutex — histogram samples come from span ends, which the
-/// token scheduler serializes.
+/// Fixed-bucket latency histogram over logical-tick durations (samples come
+/// from span ends).
 class LatencyHistogram {
  public:
   void record(std::uint64_t ticks) noexcept;
@@ -83,14 +75,13 @@ class LatencyHistogram {
   void reset() noexcept;
 
  private:
-  mutable std::mutex mu_;
   HistogramSnapshot data_;
 };
 
 class MetricsRegistry {
  public:
   /// Get-or-register; the returned reference is stable for the registry's
-  /// lifetime (callers cache it and increment lock-free).
+  /// lifetime (callers cache it).
   [[nodiscard]] MetricsCounter& counter(const std::string& name);
   [[nodiscard]] LatencyHistogram& histogram(const std::string& name);
 
@@ -119,7 +110,6 @@ class MetricsRegistry {
   void reset();
 
  private:
-  mutable std::mutex mu_;
   // unique_ptr values keep handles stable across map rehash/insertion.
   std::map<std::string, std::unique_ptr<MetricsCounter>> counters_;
   std::map<std::string, std::unique_ptr<LatencyHistogram>> histograms_;

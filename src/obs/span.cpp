@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <mutex>
 #include <ostream>
 #include <set>
 #include <stdexcept>
@@ -12,23 +13,6 @@
 #include "obs/metrics.hpp"
 
 namespace lotec {
-
-namespace {
-
-/// The calling thread's open spans, innermost last.  Spans are begun and
-/// ended on the thread doing the traced work (family runner threads, or the
-/// driver thread for directory serves — the emulation's calls are
-/// synchronous), so a thread-local stack gives "the span I am inside" for
-/// message stamping without widening any call signature.
-struct TlsEntry {
-  const SpanTracer* tracer;
-  std::uint64_t span;
-  std::uint64_t trace;
-  SpanPhase phase;
-};
-thread_local std::vector<TlsEntry> tls_spans;
-
-}  // namespace
 
 std::string_view to_string(SpanPhase phase) noexcept {
   switch (phase) {
@@ -59,6 +43,7 @@ std::string_view intern_message_kind(std::string_view kind) {
   // A leaked set of owned strings: entries must outlive every MessageRecord,
   // including records held across tracer teardown, so process lifetime is
   // the only safe bound.  The domain is message-kind names — a few dozen.
+  // Process-global (clusters on different threads share it): keeps a lock.
   static std::mutex mu;
   static auto* interned = new std::set<std::string, std::less<>>();
   std::lock_guard<std::mutex> lock(mu);
@@ -102,20 +87,7 @@ void ChromeTraceSink::flush() {
   written_ = true;
 }
 
-SpanTracer::~SpanTracer() {
-  // Drop any stale context entries this thread still holds for the dying
-  // tracer: a later tracer allocated at the same address must not inherit
-  // them.  (Other threads' entries die with their threads — family runner
-  // threads never outlive the cluster that owns the tracer.)
-  tls_spans.erase(std::remove_if(tls_spans.begin(), tls_spans.end(),
-                                 [this](const TlsEntry& e) {
-                                   return e.tracer == this;
-                                 }),
-                  tls_spans.end());
-}
-
 void SpanTracer::enable() {
-  std::lock_guard<std::mutex> lock(mu_);
   enabled_ = true;
   if (registry_) {
     for (std::size_t i = 0; i < kNumSpanPhases; ++i) {
@@ -127,22 +99,20 @@ void SpanTracer::enable() {
 }
 
 void SpanTracer::add_sink(std::unique_ptr<SpanSink> sink) {
-  std::lock_guard<std::mutex> lock(mu_);
   sinks_.push_back(std::move(sink));
 }
 
-std::uint64_t SpanTracer::begin_locked(SpanPhase phase, std::uint64_t family,
-                                       std::uint32_t node,
-                                       std::uint64_t object,
-                                       std::uint64_t trace_override,
-                                       std::uint64_t link) {
+std::uint64_t SpanTracer::begin_span(SpanPhase phase, std::uint64_t family,
+                                     std::uint32_t node, std::uint64_t object,
+                                     std::uint64_t trace_override,
+                                     std::uint64_t link) {
   SpanRecord span;
   span.id = next_id_++;
   span.phase = phase;
   span.family = family;
   span.node = node;
   span.object = object;
-  span.begin = next_tick_locked();
+  span.begin = next_tick();
   span.end = span.begin;
   span.link = link;
   const std::uint64_t lane = lane_for(family, node);
@@ -159,30 +129,27 @@ std::uint64_t SpanTracer::begin_locked(SpanPhase phase, std::uint64_t family,
   stack.push_back(span);
   open_lane_[span.id] = lane;
   if (recorder_ != nullptr) recorder_->note_span_begin(span);
-  tls_spans.push_back({this, span.id, span.trace, phase});
+  context_->push_back({span.id, span.trace, phase});
   return span.id;
 }
 
 std::uint64_t SpanTracer::begin(SpanPhase phase, std::uint64_t family,
                                 std::uint32_t node, std::uint64_t object) {
   if (!enabled_) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  return begin_locked(phase, family, node, object, /*trace_override=*/0,
-                      /*link=*/0);
+  return begin_span(phase, family, node, object, /*trace_override=*/0,
+                    /*link=*/0);
 }
 
 std::uint64_t SpanTracer::begin_remote(SpanPhase phase, std::uint32_t node,
                                        const TraceContext& ctx,
                                        std::uint64_t object) {
   if (!enabled_) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  return begin_locked(phase, /*family=*/0, node, object, ctx.trace_id,
-                      ctx.parent_span);
+  return begin_span(phase, /*family=*/0, node, object, ctx.trace_id,
+                    ctx.parent_span);
 }
 
 void SpanTracer::end(std::uint64_t id, std::uint64_t family) {
   if (!enabled_ || id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
   const auto lane_it = open_lane_.find(id);
   // Resolve the lane the span was opened on; fall back to the caller's
   // family hint for ids the tracer no longer knows (already closed).
@@ -197,20 +164,15 @@ void SpanTracer::end(std::uint64_t id, std::uint64_t family) {
   while (!stack.empty()) {
     SpanRecord span = stack.back();
     stack.pop_back();
-    span.end = next_tick_locked();
+    span.end = next_tick();
     open_lane_.erase(span.id);
     closed.push_back(span.id);
-    emit_locked(span);
+    emit(span);
     if (span.id == id) break;
   }
-  tls_spans.erase(
-      std::remove_if(tls_spans.begin(), tls_spans.end(),
-                     [&](const TlsEntry& e) {
-                       return e.tracer == this &&
-                              std::find(closed.begin(), closed.end(),
-                                        e.span) != closed.end();
-                     }),
-      tls_spans.end());
+  std::erase_if(*context_, [&](const SpanContextEntry& e) {
+    return std::find(closed.begin(), closed.end(), e.span) != closed.end();
+  });
 }
 
 void SpanTracer::instant(SpanPhase phase, std::uint64_t family,
@@ -222,14 +184,13 @@ void SpanTracer::instant_linked(SpanPhase phase, std::uint64_t family,
                                 std::uint32_t node, const TraceContext& ctx,
                                 std::uint64_t object) {
   if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mu_);
   SpanRecord span;
   span.id = next_id_++;
   span.phase = phase;
   span.family = family;
   span.node = node;
   span.object = object;
-  span.begin = next_tick_locked();
+  span.begin = next_tick();
   span.end = span.begin;
   span.link = ctx.parent_span;
   const auto it = open_.find(lane_for(family, node));
@@ -240,23 +201,19 @@ void SpanTracer::instant_linked(SpanPhase phase, std::uint64_t family,
     span.trace = ctx.trace_id;
   }
   if (recorder_ != nullptr) recorder_->note_instant(span);
-  emit_locked(span);
+  emit(span);
 }
 
 TraceContext SpanTracer::current_context() const {
-  if (!enabled_) return {};
-  for (auto it = tls_spans.rbegin(); it != tls_spans.rend(); ++it) {
-    if (it->tracer == this)
-      return {it->trace, it->span, static_cast<std::uint8_t>(it->phase)};
-  }
-  return {};
+  if (!enabled_ || context_->empty()) return {};
+  const SpanContextEntry& top = context_->back();
+  return {top.trace, top.span, static_cast<std::uint8_t>(top.phase)};
 }
 
 void SpanTracer::note_message(std::string_view kind, std::uint32_t src,
                               std::uint32_t dst, std::uint64_t object,
                               std::uint64_t bytes, const TraceContext& ctx) {
   if (!enabled_) return;
-  std::lock_guard<std::mutex> lock(mu_);
   MessageRecord rec;
   rec.tick = now();
   rec.kind = kind;  // view of the caller's static to_string table: no copy
@@ -270,7 +227,7 @@ void SpanTracer::note_message(std::string_view kind, std::uint32_t src,
   messages_.push_back(std::move(rec));
 }
 
-void SpanTracer::emit_locked(const SpanRecord& span) {
+void SpanTracer::emit(const SpanRecord& span) {
   done_.push_back(span);
   if (recorder_ != nullptr && span.end != span.begin)
     recorder_->note_span_end(span);
@@ -281,24 +238,20 @@ void SpanTracer::emit_locked(const SpanRecord& span) {
 }
 
 std::vector<SpanRecord> SpanTracer::spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return done_;
 }
 
 std::vector<MessageRecord> SpanTracer::messages() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return messages_;
 }
 
 std::size_t SpanTracer::open_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
   for (const auto& [lane, stack] : open_) n += stack.size();
   return n;
 }
 
 void SpanTracer::flush_sinks() {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& sink : sinks_) sink->flush();
 }
 

@@ -38,12 +38,10 @@
 //                        its deferred messages (instant)
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -134,8 +132,8 @@ struct MessageRecord {
   friend bool operator==(const MessageRecord&, const MessageRecord&) = default;
 };
 
-/// Receives completed spans.  Sinks are invoked under the tracer mutex in
-/// span-end order; implementations must not call back into the tracer.
+/// Receives completed spans, in span-end order.  Implementations must not
+/// call back into the tracer.
 class SpanSink {
  public:
   virtual ~SpanSink() = default;
@@ -190,10 +188,17 @@ class ChromeTraceSink final : public SpanSink {
   bool written_ = false;
 };
 
+/// One open span on an execution context's span stack (see
+/// SpanTracer::set_context_stack).
+struct SpanContextEntry {
+  std::uint64_t span;
+  std::uint64_t trace;
+  SpanPhase phase;
+};
+
 class SpanTracer {
  public:
   SpanTracer() = default;
-  ~SpanTracer();
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
@@ -220,12 +225,10 @@ class SpanTracer {
   /// Advance the logical clock for one transport message.  The disabled
   /// cost of observability on the message path is exactly this bool check.
   void tick_message() noexcept {
-    if (enabled_) clock_.fetch_add(1, std::memory_order_relaxed);
+    if (enabled_) ++clock_;
   }
 
-  [[nodiscard]] std::uint64_t now() const noexcept {
-    return clock_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t now() const noexcept { return clock_; }
 
   /// Open a span; returns its id (0 when disabled).  Parent is the
   /// innermost open span of the same lane (family lane, or the node's
@@ -257,10 +260,18 @@ class SpanTracer {
                       std::uint32_t node, const TraceContext& ctx,
                       std::uint64_t object = SpanRecord::kNoObject);
 
-  /// The calling thread's innermost open span on this tracer, as a message
-  /// context ({} when none / disabled).  Valid because every span is begun
-  /// and ended on the thread doing the traced work.
+  /// The running context's innermost open span on this tracer, as a
+  /// message context ({} when none / disabled).  Valid because every span
+  /// is begun and ended by the context doing the traced work.
   [[nodiscard]] TraceContext current_context() const;
+
+  /// Switch the open-span stack that begin/end/current_context use to the
+  /// one of the context about to run (a family fiber's), or back to the
+  /// tracer's own stack with nullptr.  The scheduler calls this at every
+  /// fiber switch, so each family sees only the spans it opened.
+  void set_context_stack(std::vector<SpanContextEntry>* stack) noexcept {
+    context_ = stack != nullptr ? stack : &own_context_;
+  }
 
   /// Record one message observed at the Transport choke point (called by
   /// Transport::send only while tracing is enabled).
@@ -271,10 +282,7 @@ class SpanTracer {
   /// Pre-size the message record buffer so note_message stays allocation
   /// free up to `n` records (benches call this with the expected message
   /// count; growth past it just falls back to amortized doubling).
-  void reserve_messages(std::size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    messages_.reserve(n);
-  }
+  void reserve_messages(std::size_t n) { messages_.reserve(n); }
 
   /// All completed spans so far, in completion order.
   [[nodiscard]] std::vector<SpanRecord> spans() const;
@@ -295,22 +303,19 @@ class SpanTracer {
     return family != 0 ? family : (kDirectoryLaneBase | node);
   }
 
-  std::uint64_t next_tick_locked() noexcept {
-    return clock_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::uint64_t begin_locked(SpanPhase phase, std::uint64_t family,
+  std::uint64_t next_tick() noexcept { return clock_++; }
+  std::uint64_t begin_span(SpanPhase phase, std::uint64_t family,
                              std::uint32_t node, std::uint64_t object,
                              std::uint64_t trace_override,
                              std::uint64_t link);
-  void emit_locked(const SpanRecord& span);
+  void emit(const SpanRecord& span);
 
   bool enabled_ = false;
-  std::atomic<std::uint64_t> clock_{0};
+  std::uint64_t clock_ = 0;
   MetricsRegistry* registry_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   LatencyHistogram* phase_hist_[kNumSpanPhases] = {};
 
-  mutable std::mutex mu_;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_trace_ = 1;
   // Per lane stack of open spans (record kept until end()).
@@ -321,6 +326,9 @@ class SpanTracer {
   std::vector<SpanRecord> done_;
   std::vector<MessageRecord> messages_;
   std::vector<std::unique_ptr<SpanSink>> sinks_;
+  /// Open spans of the context not running in a fiber, innermost last.
+  std::vector<SpanContextEntry> own_context_;
+  std::vector<SpanContextEntry>* context_ = &own_context_;
 };
 
 /// RAII span.  Latches the enabled check once; all methods are no-ops on a
@@ -354,9 +362,9 @@ class ScopedSpan {
 };
 
 /// RAII remote-side serve span on a node's directory lane, causally linked
-/// to the calling thread's current context (i.e. to the span whose request
+/// to the running context's current span (i.e. to the span whose request
 /// message the callee is serving — the call is synchronous, so the sender's
-/// context is still on this thread when the serve begins).
+/// span is still open in this context when the serve begins).
 class ScopedServeSpan {
  public:
   ScopedServeSpan(SpanTracer* tracer, SpanPhase phase, std::uint32_t node,

@@ -12,7 +12,7 @@
 //   LOTEC_DEFINE_STATS_STRUCT(CoreStats, CORE_COUNTERS)
 //
 //   CoreStats stats_{registry};   // resolves every handle once
-//   stats_.commits->add(1);       // O(1) relaxed atomic increment
+//   stats_.commits->add(1);       // O(1) increment
 //
 // The generated struct holds `MetricsCounter*` members named by the first
 // macro argument, registered under the string name in the second.  This is

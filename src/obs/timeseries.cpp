@@ -93,7 +93,7 @@ TimeseriesCollector::TimeseriesCollector(MetricsRegistry& registry,
     : registry_(registry),
       interval_(config.tick_interval),
       retain_(std::max<std::size_t>(1, config.retain)) {
-  next_close_.store(interval_, std::memory_order_relaxed);
+  next_close_ = interval_;
   ring_.resize(retain_);
   if (!config.jsonl_path.empty()) {
     auto os = std::make_unique<std::ofstream>(config.jsonl_path);
@@ -101,30 +101,19 @@ TimeseriesCollector::TimeseriesCollector(MetricsRegistry& registry,
       throw Error("timeseries: cannot open jsonl sink " + config.jsonl_path);
     jsonl_ = std::move(os);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  refresh_handles_locked();
+  refresh_handles();
 }
 
 TimeseriesCollector::~TimeseriesCollector() {
   if (jsonl_) jsonl_->flush();
 }
 
-void TimeseriesCollector::maybe_close(std::uint64_t now_ticks) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Another thread may have closed this boundary between our fast-path
-  // check and the lock.
-  if (now_ticks < next_close_.load(std::memory_order_relaxed)) return;
-  close_window_locked(now_ticks);
-}
-
 std::uint64_t TimeseriesCollector::close_window() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return close_window_locked(ticks_.load(std::memory_order_relaxed));
+  return close_window_at(ticks_);
 }
 
-std::uint64_t TimeseriesCollector::close_window_locked(
-    std::uint64_t now_ticks) {
-  if (registry_.generation() != seen_generation_) refresh_handles_locked();
+std::uint64_t TimeseriesCollector::close_window_at(std::uint64_t now_ticks) {
+  if (registry_.generation() != seen_generation_) refresh_handles();
   TimeseriesWindow& w = ring_[closed_ % retain_];
   w.index = closed_;
   w.open_tick = open_tick_;
@@ -142,13 +131,12 @@ std::uint64_t TimeseriesCollector::close_window_locked(
   }
   open_tick_ = now_ticks;
   ++closed_;
-  if (interval_ != 0)
-    next_close_.store(now_ticks + interval_, std::memory_order_relaxed);
-  if (jsonl_) emit_jsonl_locked(w);
+  if (interval_ != 0) next_close_ = now_ticks + interval_;
+  if (jsonl_) emit_jsonl(w);
   return w.index;
 }
 
-void TimeseriesCollector::refresh_handles_locked() {
+void TimeseriesCollector::refresh_handles() {
   // Known metrics carry their previous snapshot across the refresh;
   // newly-seen metrics baseline at zero, so the window in which a metric
   // first appears reports its full cumulative value as the delta (nothing
@@ -190,12 +178,10 @@ void TimeseriesCollector::refresh_handles_locked() {
 }
 
 std::uint64_t TimeseriesCollector::windows_closed() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return closed_;
 }
 
 std::vector<TimeseriesWindow> TimeseriesCollector::windows() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<TimeseriesWindow> out;
   const std::uint64_t first = closed_ > retain_ ? closed_ - retain_ : 0;
   out.reserve(static_cast<std::size_t>(closed_ - first));
@@ -205,12 +191,10 @@ std::vector<TimeseriesWindow> TimeseriesCollector::windows() const {
 }
 
 std::vector<std::string> TimeseriesCollector::counter_names() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return counter_names_;
 }
 
 std::vector<std::string> TimeseriesCollector::histogram_names() const {
-  std::lock_guard<std::mutex> lock(mu_);
   return histogram_names_;
 }
 
@@ -246,13 +230,12 @@ void write_window_jsonl(const TimeseriesWindow& w,
 
 }  // namespace
 
-void TimeseriesCollector::emit_jsonl_locked(const TimeseriesWindow& w) {
+void TimeseriesCollector::emit_jsonl(const TimeseriesWindow& w) {
   write_window_jsonl(w, counter_names_, histogram_names_, *jsonl_);
   jsonl_->flush();  // lotec_top tails this file live
 }
 
 void TimeseriesCollector::write_jsonl(std::ostream& os) const {
-  std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t first = closed_ > retain_ ? closed_ - retain_ : 0;
   for (std::uint64_t i = first; i < closed_; ++i)
     write_window_jsonl(ring_[i % retain_], counter_names_, histogram_names_,
@@ -264,7 +247,6 @@ void TimeseriesCollector::write_prometheus(
     const std::vector<std::pair<std::string, std::string>>& labels) const {
   write_prometheus_text(registry_.counters(), registry_.histograms(), labels,
                         os);
-  std::lock_guard<std::mutex> lock(mu_);
   if (closed_ == 0) return;
   const TimeseriesWindow& w = ring_[(closed_ - 1) % retain_];
   std::string suffix;

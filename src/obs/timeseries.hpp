@@ -24,12 +24,10 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -117,12 +115,11 @@ class TimeseriesCollector {
   TimeseriesCollector& operator=(const TimeseriesCollector&) = delete;
 
   /// Hot-path hook, called by Transport::send for every accounted message.
-  /// One relaxed atomic increment; the thread that crosses the interval
-  /// boundary closes the window.  Never sends, never throws.
+  /// One increment; the message that crosses the interval boundary closes
+  /// the window.  Never sends, never throws.
   void on_message() noexcept {
-    const std::uint64_t n = ticks_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (interval_ != 0 && n >= next_close_.load(std::memory_order_relaxed))
-      maybe_close(n);
+    ++ticks_;
+    if (interval_ != 0 && ticks_ >= next_close_) close_window_at(ticks_);
   }
 
   /// Explicit close (wall-clock pacing, end-of-run flush).  No-op when
@@ -157,21 +154,19 @@ class TimeseriesCollector {
       const std::vector<std::pair<std::string, std::string>>& labels) const;
 
  private:
-  void maybe_close(std::uint64_t now_ticks);
-  std::uint64_t close_window_locked(std::uint64_t now_ticks);
-  /// Rebuild handle tables + pre-size ring storage; called under mu_ when
-  /// the registry generation moved (the only allocating path).
-  void refresh_handles_locked();
-  void emit_jsonl_locked(const TimeseriesWindow& w);
+  std::uint64_t close_window_at(std::uint64_t now_ticks);
+  /// Rebuild handle tables + pre-size ring storage; called when the
+  /// registry generation moved (the only allocating path).
+  void refresh_handles();
+  void emit_jsonl(const TimeseriesWindow& w);
 
   MetricsRegistry& registry_;
   const std::uint64_t interval_;
   const std::size_t retain_;
 
-  std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<std::uint64_t> next_close_{0};
+  std::uint64_t ticks_ = 0;
+  std::uint64_t next_close_ = 0;
 
-  mutable std::mutex mu_;
   std::uint64_t seen_generation_ = ~std::uint64_t{0};
   std::vector<std::string> counter_names_;
   std::vector<const MetricsCounter*> counter_handles_;

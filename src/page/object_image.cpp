@@ -106,8 +106,7 @@ void ObjectImage::retain(std::uint32_t page_idx, const Page& page) {
 void ObjectImage::trim_ring(std::uint32_t page_idx) {
   std::vector<RetainedVersion>& ring = rings_[page_idx];
   const std::uint64_t fence =
-      fence_ ? fence_->load(std::memory_order_acquire)
-             : ~std::uint64_t{0};
+      fence_ != nullptr ? *fence_ : ~std::uint64_t{0};
   // Drop the oldest entry past the bound only when the next newer retained
   // version already covers every live snapshot stamp — a reader pinned at
   // `fence` resolving newest-<=-fence then lands on that newer entry (or

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -118,8 +117,8 @@ struct RetainedVersion {
 };
 
 /// What a snapshot read resolved a page to: a borrowed view of either the
-/// live committed page or a retained ring entry (valid while the store
-/// mutex is held).
+/// live committed page or a retained ring entry (valid until the store
+/// changes).
 struct SnapshotView {
   const std::byte* data = nullptr;
   Lsn version = 0;
@@ -268,7 +267,7 @@ class ObjectImage {
   /// bound only when no live reader could still resolve to the dropped
   /// version.  Off by default — a non-retaining image has zero overhead.
   void enable_retention(std::size_t depth,
-                        const std::atomic<std::uint64_t>* fence) {
+                        const std::uint64_t* fence) {
     if (depth == 0) throw UsageError("ObjectImage: retention depth 0");
     retain_depth_ = depth;
     fence_ = fence;
@@ -282,8 +281,8 @@ class ObjectImage {
   /// content with tick <= stamp known at this site — the live page (when
   /// resident, clean, and old enough) or a retained ring entry.  Returns
   /// nullopt when nothing here is old (or new) enough; the caller falls back
-  /// to a remote snapshot fetch.  The view borrows storage: copy out while
-  /// still holding the store mutex.
+  /// to a remote snapshot fetch.  The view borrows storage: copy out before
+  /// the store changes.
   [[nodiscard]] std::optional<SnapshotView> snapshot_page(
       PageIndex idx, std::uint64_t stamp) const;
 
@@ -336,7 +335,7 @@ class ObjectImage {
       dirty_ranges_;
   // --- version retention state (empty unless enable_retention ran) --------
   std::size_t retain_depth_ = 0;
-  const std::atomic<std::uint64_t>* fence_ = nullptr;
+  const std::uint64_t* fence_ = nullptr;
   /// Per-page ring of superseded committed versions, newest first.
   std::unordered_map<std::uint32_t, std::vector<RetainedVersion>> rings_;
   /// Before-images captured for the current un-stamped dirty epoch

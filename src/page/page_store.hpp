@@ -31,7 +31,7 @@ class PageStore {
   /// this site from now on.  `fence` is the cluster's oldest-live-snapshot
   /// stamp, shared by the retention GC.  Call before any object exists.
   void configure_retention(std::size_t depth,
-                           const std::atomic<std::uint64_t>* fence) {
+                           const std::uint64_t* fence) {
     retain_depth_ = depth;
     fence_ = fence;
   }
@@ -109,7 +109,7 @@ class PageStore {
   FlatMap<ObjectId, std::unique_ptr<ObjectImage>> images_;
   FlatMap<ObjectId, std::uint32_t> snapshot_pins_;
   std::size_t retain_depth_ = 0;
-  const std::atomic<std::uint64_t>* fence_ = nullptr;
+  const std::uint64_t* fence_ = nullptr;
 };
 
 }  // namespace lotec

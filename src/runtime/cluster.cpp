@@ -29,25 +29,18 @@ ObjectId Cluster::create_object(ClassId cls, NodeId where) {
   if (creator.value() >= core_.nodes.size())
     throw UsageError("create_object: node id out of range");
 
-  ObjectId id;
-  {
-    std::lock_guard<std::mutex> lock(core_.obj_mu);
-    id = ObjectId(core_.next_object_id++);
-    ProtocolKind protocol = core_.config.protocol;
-    if (def.protocol_override()) {
-      if (*def.protocol_override() >= kNumProtocols)
-        throw UsageError("class protocol override out of range");
-      protocol = static_cast<ProtocolKind>(*def.protocol_override());
-    }
-    core_.objects[id] =
-        ObjectMeta{cls, creator, def.layout().num_pages(), protocol};
+  const ObjectId id(core_.next_object_id++);
+  ProtocolKind protocol = core_.config.protocol;
+  if (def.protocol_override()) {
+    if (*def.protocol_override() >= kNumProtocols)
+      throw UsageError("class protocol override out of range");
+    protocol = static_cast<ProtocolKind>(*def.protocol_override());
   }
-  {
-    Node& node = core_.node(creator);
-    std::lock_guard<std::mutex> lock(node.store_mu);
-    node.store.create(id, def.layout().num_pages(), core_.config.page_size,
-                      /*materialize=*/true);
-  }
+  core_.objects[id] =
+      ObjectMeta{cls, creator, def.layout().num_pages(), protocol};
+  Node& node = core_.node(creator);
+  node.store.create(id, def.layout().num_pages(), core_.config.page_size,
+                    /*materialize=*/true);
   core_.gdo.register_object(id, def.layout().num_pages(), creator);
   if (core_.fault != nullptr)
     core_.fault->note_created(creator, id, def.layout().num_pages());
@@ -74,30 +67,23 @@ std::vector<TxnResult> Cluster::execute(std::vector<RootRequest> requests) {
   }
   ++execute_count_;
 
-  TokenScheduler scheduler({.seed = mix64(core_.config.seed ^ execute_count_),
-                            .max_active = core_.config.max_active_families,
-                            .picker = core_.config.schedule_picker});
-  core_.scheduler = &scheduler;
   core_.gdo.set_grant_delivery(
       [this](const Grant& g) { core_.deliver_grant(g); });
 
   std::vector<std::unique_ptr<FamilyRunner>> runners;
   runners.reserve(requests.size());
-  {
-    std::lock_guard<std::mutex> lock(core_.fam_mu);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      RootRequest& req = requests[i];
-      NodeId node = req.node;
-      if (!node.valid())
-        node = NodeId(static_cast<std::uint32_t>(
-            (next_family_ + i) % core_.nodes.size()));
-      const FamilyId family(next_family_ + i);
-      runners.push_back(std::make_unique<FamilyRunner>(
-          core_, i, family, node, std::move(req)));
-      core_.runners[family] = runners.back().get();
-    }
-    next_family_ += requests.size();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    RootRequest& req = requests[i];
+    NodeId node = req.node;
+    if (!node.valid())
+      node = NodeId(static_cast<std::uint32_t>(
+          (next_family_ + i) % core_.nodes.size()));
+    const FamilyId family(next_family_ + i);
+    runners.push_back(std::make_unique<FamilyRunner>(
+        core_, i, family, node, std::move(req)));
+    core_.runners[family] = runners.back().get();
   }
+  next_family_ += requests.size();
 
   std::vector<std::function<void()>> bodies;
   bodies.reserve(runners.size());
@@ -139,29 +125,21 @@ std::vector<TxnResult> Cluster::execute(std::vector<RootRequest> requests) {
       LOTEC_DEBUG("deadlock", "cycle [" << oss.str() << "] victim "
                                         << victim);
     }
-    std::lock_guard<std::mutex> lock(core_.fam_mu);
     const auto it = core_.runners.find(victim);
     if (it == core_.runners.end()) return TokenScheduler::kNoVictim;
     return it->second->index();
   };
 
   try {
-    scheduler.run(std::move(bodies), on_stall);
+    core_.scheduler.run(mix64(core_.config.seed ^ execute_count_),
+                        std::move(bodies), on_stall);
   } catch (...) {
     core_.gdo.set_grant_delivery(nullptr);
-    core_.scheduler = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(core_.fam_mu);
-      core_.runners.clear();
-    }
+    core_.runners.clear();
     throw;
   }
   core_.gdo.set_grant_delivery(nullptr);
-  core_.scheduler = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(core_.fam_mu);
-    core_.runners.clear();
-  }
+  core_.runners.clear();
 
   // End-of-batch recovery first: restart every node still down so the
   // cluster is whole for the lock-cache drain and validation.
@@ -232,7 +210,6 @@ void Cluster::peek_page(ObjectId object, PageIndex page,
   const GdoEntry entry = core_.gdo.snapshot(object);
   const PageLocation& loc = entry.page_map.at(page);
   Node& owner = const_cast<ClusterCore&>(core_).node(loc.node);
-  std::lock_guard<std::mutex> lock(owner.store_mu);
   const Page& p = owner.store.get(object).page(page);
   std::memcpy(out.data(), p.data.data(), out.size());
 }
@@ -249,7 +226,6 @@ void Cluster::restore_page(ObjectId object, PageIndex page,
         "restore_page: object has already been modified (restore requires a "
         "fresh cluster)");
   Node& creator = core_.node(meta.creator);
-  std::lock_guard<std::mutex> lock(creator.store_mu);
   creator.store.get(object).restore_bytes(
       std::uint64_t{page.value()} * core_.config.page_size, in);
 }
@@ -264,7 +240,6 @@ void Cluster::peek_raw(ObjectId object, std::uint64_t offset,
     const PageIndex p(static_cast<std::uint32_t>(pos / page_size));
     const PageLocation& loc = entry.page_map.at(p);
     Node& owner = const_cast<ClusterCore&>(core_).node(loc.node);
-    std::lock_guard<std::mutex> lock(owner.store_mu);
     const ObjectImage& img = owner.store.get(object);
     const std::uint64_t in_page = pos % page_size;
     const std::size_t n = static_cast<std::size_t>(std::min<std::uint64_t>(

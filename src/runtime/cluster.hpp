@@ -27,6 +27,11 @@
 // Every run_root/execute call runs whole transaction families — locking,
 // page transfer and undo are automatic; user code never writes a
 // synchronization operation.
+//
+// Execution model: one thread.  execute() runs the batch's families as
+// fibers on the calling thread, one at a time.  A Cluster is not
+// thread-safe; use one Cluster per thread (separate Clusters on separate
+// threads are fine).
 #pragma once
 
 #include <memory>
@@ -122,8 +127,9 @@ class Cluster {
 
   // --- execution -------------------------------------------------------------
 
-  /// Execute a batch of root transactions (one family each) under the
-  /// configured scheduler.  Results are positionally aligned with requests.
+  /// Execute a batch of root transactions (one family each), each family a
+  /// fiber on the calling thread.  Results are positionally aligned with
+  /// requests.
   std::vector<TxnResult> execute(std::vector<RootRequest> requests);
 
   /// Convenience: run one root transaction to completion.

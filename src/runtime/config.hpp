@@ -60,7 +60,8 @@ struct ClusterConfig {
   WireConfig wire;
   /// Seed for every random decision (scheduling, workload bodies).
   std::uint64_t seed = 1;
-  /// Families concurrently active (threads).
+  /// Families started and not yet finished at once (each runs as a fiber
+  /// on the thread that calls Cluster::execute).
   std::size_t max_active_families = 16;
   /// Restart budget for deadlock victims.
   int max_retries = 50;

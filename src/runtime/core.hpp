@@ -4,7 +4,6 @@
 
 #include <array>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "check/events.hpp"
@@ -70,7 +69,10 @@ struct ClusterCore {
       // nonsense values.
       : config((cfg.validate(), cfg)),
         transport_owner(make_cluster_transport(cfg)),
-        transport(*transport_owner), gdo(transport, cfg.gdo, &obs.metrics) {
+        transport(*transport_owner), gdo(transport, cfg.gdo, &obs.metrics),
+        scheduler({.max_active = cfg.max_active_families,
+                   .picker = cfg.schedule_picker},
+                  obs.tracer) {
     obs.configure(cfg.obs, cfg.nodes);
     transport.set_tracer(&obs.tracer);
     transport.set_flight_recorder(obs.recorder.get());
@@ -113,8 +115,8 @@ struct ClusterCore {
     }
     if (cfg.lock_cache) {
       // Revocation seam: the directory calls back into the caching site's
-      // lock cache (a leaf mutex, safe under the partition lock) to collect
-      // the deferred release report and erase/downgrade the entry.
+      // lock cache to collect the deferred release report and
+      // erase/downgrade the entry.
       gdo.set_callback_handler(
           [this](ObjectId obj, NodeId site, LockMode requested) {
             return node(site).lock_cache.revoke(obj, requested);
@@ -136,7 +138,6 @@ struct ClusterCore {
   }
 
   [[nodiscard]] ObjectMeta meta_of(ObjectId id) const {
-    std::lock_guard<std::mutex> lock(obj_mu);
     const auto it = objects.find(id);
     if (it == objects.end())
       throw UsageError("unknown object " + std::to_string(id.value()));
@@ -159,7 +160,6 @@ struct ClusterCore {
   [[nodiscard]] std::uint64_t total_evicted_pages() const {
     std::uint64_t n = 0;
     for (const auto& node : nodes) {
-      std::lock_guard<std::mutex> lock(node->store_mu);
       n += node->evicted_pages;
     }
     return n;
@@ -175,6 +175,9 @@ struct ClusterCore {
   std::unique_ptr<Transport> transport_owner;
   Transport& transport;
   GdoService gdo;
+  /// Runs each execute() batch's families as fibers on the caller's
+  /// thread; its stack pool lives as long as the cluster.
+  TokenScheduler scheduler;
   ClassRegistry registry;
   /// One instance of every protocol (stateless policies).
   std::array<std::unique_ptr<ConsistencyProtocol>, kNumProtocols> protocols;
@@ -189,15 +192,10 @@ struct ClusterCore {
   /// after `nodes` so it can capture references to them at construction.
   std::unique_ptr<FaultEngine> fault;
 
-  /// Live scheduler during an execute() run.
-  TokenScheduler* scheduler = nullptr;
-
-  mutable std::mutex obj_mu;
   FlatMap<ObjectId, ObjectMeta> objects;
   std::uint64_t next_object_id = 0;
 
   /// FamilyId -> runner, for wakeup delivery during a run.
-  mutable std::mutex fam_mu;
   FlatMap<FamilyId, FamilyRunner*> runners;
 };
 

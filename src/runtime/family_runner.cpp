@@ -18,7 +18,6 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 void ClusterCore::enforce_cache_capacity(Node& node) {
   const std::size_t capacity = config.cache_capacity_pages;
   if (capacity == 0) return;
-  std::lock_guard<std::mutex> lock(node.store_mu);
   std::size_t resident = node.store.resident_pages();
   if (resident <= capacity) return;
   // Walk from the least recently acquired object; drop every page whose
@@ -63,13 +62,10 @@ void ClusterCore::enforce_lock_cache_capacity(Node& node) {
   if (!config.lock_cache || capacity == 0) return;
   while (node.lock_cache.size() > capacity) {
     ObjectId victim{};
-    {
-      std::lock_guard<std::mutex> lock(node.store_mu);
-      for (const ObjectId obj : node.lock_cache.lru_order()) {
-        if (node.pinned(obj)) continue;  // re-granted to a live family
-        victim = obj;
-        break;
-      }
+    for (const ObjectId obj : node.lock_cache.lru_order()) {
+      if (node.pinned(obj)) continue;  // re-granted to a live family
+      victim = obj;
+      break;
     }
     if (!victim.valid()) return;
     const auto entry = node.lock_cache.lookup(victim);
@@ -88,18 +84,14 @@ void ClusterCore::enforce_lock_cache_capacity(Node& node) {
 }
 
 void ClusterCore::deliver_grant(Grant grant) {
-  FamilyRunner* runner = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(fam_mu);
-    const auto it = runners.find(grant.family);
-    if (it == runners.end())
-      throw Error("grant delivered to unknown family " +
-                  std::to_string(grant.family.value()));
-    runner = it->second;
-  }
+  const auto it = runners.find(grant.family);
+  if (it == runners.end())
+    throw Error("grant delivered to unknown family " +
+                std::to_string(grant.family.value()));
+  FamilyRunner* const runner = it->second;
   const std::size_t idx = runner->index();
   runner->deliver(std::move(grant));
-  scheduler->wake(idx);
+  scheduler.wake(idx);
 }
 
 FamilyRunner::FamilyRunner(ClusterCore& core, std::size_t index,
@@ -119,8 +111,8 @@ void FamilyRunner::run() {
   int attempts = 0;
   for (;;) {
     ++attempts;
-    // The attempt span stays open through the catch handlers so undo and
-    // retry bookkeeping nest under the attempt they belong to.
+    // The attempt span stays open through recovery so undo and retry
+    // bookkeeping nest under the attempt they belong to.
     ScopedSpan attempt_span(&core_.obs.tracer, SpanPhase::kFamilyAttempt,
                             family_.id().value(), node_.value());
     if (eng != nullptr) {
@@ -141,14 +133,17 @@ void FamilyRunner::run() {
     // Re-seed per attempt: a restarted family makes the same decisions.
     rng_ = Rng(mix64(core_.config.seed ^ family_.id().value()));
     if (snapshot_mode_) begin_snapshot_attempt();
-    // Every exit from this iteration — commit, any retrying catch, any
-    // break — must drop the attempt's snapshot pins and stamp.
+    // Every exit from this iteration — commit, any retry, any break — must
+    // drop the attempt's snapshot pins and stamp.
     struct SnapshotAttemptGuard {
       FamilyRunner* runner;
       ~SnapshotAttemptGuard() {
         if (runner != nullptr) runner->end_snapshot_attempt();
       }
     } snapshot_guard{snapshot_mode_ ? this : nullptr};
+    // Handlers only record what went wrong: recovery can switch fibers
+    // (backoff), which must never happen inside a catch handler.
+    Failure failure = Failure::kError;
     try {
       const bool ok =
           run_invocation(nullptr, request_.object, request_.method);
@@ -157,87 +152,74 @@ void FamilyRunner::run() {
       if (!ok) result_.reason = last_abort_reason_;
       break;
     } catch (const DeadlockVictimError&) {
+      failure = Failure::kDeadlock;
+    } catch (const NodeCrashedError&) {
+      failure = Failure::kCrash;
+    } catch (const NodeUnreachable&) {
+      failure = Failure::kUnreachable;
+      // Legacy (no fault engine): an unreachable node is a configuration
+      // error — surface it like any other programming error.
+      if (eng == nullptr) {
+        failure = Failure::kError;
+        error_ = std::current_exception();
+      }
+    } catch (const MessageDropped&) {
+      failure = Failure::kDropped;
+    } catch (const SnapshotUnavailableError&) {
+      failure = Failure::kSnapshotGone;
+    } catch (const Error&) {
+      // Programming error (precluded recursion, undeclared access, protocol
+      // invariant violation): surfaced from Cluster::execute once the batch
+      // drains.
+      failure = Failure::kError;
+      error_ = std::current_exception();
+    }
+    if (!recover(failure, attempts)) break;
+  }
+  if (CheckSink* s = check())
+    s->on_family_outcome(family_.id(), result_.committed);
+  result_.attempts = attempts;
+  result_.txns_in_tree = family_.num_txns();
+}
+
+bool FamilyRunner::recover(Failure failure, int attempts) {
+  switch (failure) {
+    case Failure::kDeadlock:
       // The stall handler also victimizes blocked families when a crash
       // (not a lock cycle) explains the stall; route those to crash
       // recovery — there is no site state left to abort.
-      if (crashed_since_attempt()) {
-        if (crash_retry(attempts, committing_)) continue;
-        break;
-      }
-      try {
-        abort_family(AbortReason::kDeadlock);
-      } catch (const Error&) {
+      if (crashed_since_attempt()) return crash_retry(attempts, committing_);
+      if (!try_abort_family(AbortReason::kDeadlock)) {
         // The abort's release traffic itself hit a fault (our own node
         // crashed unnoticed, or an object's directory chain is down):
-        // reroute to fault recovery instead of leaking from the handler.
-        if (crashed_since_attempt()) {
-          if (crash_retry(attempts, committing_)) continue;
-          break;
-        }
-        if (transient_retry(attempts)) continue;
-        break;
+        // reroute to fault recovery.
+        if (crashed_since_attempt())
+          return crash_retry(attempts, committing_);
+        return transient_retry(attempts);
       }
       ++result_.deadlock_retries;
       core_.counters.deadlock_retries->add();
-      if (core_.scheduler->cancelled() ||
-          attempts >= core_.config.max_retries) {
-        result_.committed = false;
-        result_.reason = AbortReason::kRetryExhausted;
-        break;
-      }
-      family_.reset();
       // Backoff: yield so the families our abort just unblocked run first.
       // Without this, a deterministic schedule can restart the victim in
       // lockstep with the survivor and re-form the identical deadlock
       // forever (the deterministic analogue of randomized backoff).
-      backoff(attempts);
-      continue;
-    } catch (const NodeCrashedError&) {
-      if (crash_retry(attempts, committing_)) continue;
-      break;
-    } catch (const NodeUnreachable&) {
-      if (eng == nullptr) {
-        // Legacy (no fault engine): an unreachable node is a configuration
-        // error — surface it like any other programming error.
-        error_ = std::current_exception();
-        try {
-          abort_family(AbortReason::kUser);
-        } catch (...) {
-        }
-        result_.committed = false;
-        result_.reason = AbortReason::kUser;
-        break;
-      }
-      if (crashed_since_attempt()) {
-        if (crash_retry(attempts, committing_)) continue;
-      } else if (transient_retry(attempts)) {
-        continue;
-      }
-      break;
-    } catch (const MessageDropped&) {
-      if (transient_retry(attempts)) continue;
-      break;
-    } catch (const SnapshotUnavailableError&) {
+      return retry_after_backoff(attempts);
+    case Failure::kCrash:
+      return crash_retry(attempts, committing_);
+    case Failure::kUnreachable:
+      if (crashed_since_attempt()) return crash_retry(attempts, committing_);
+      return transient_retry(attempts);
+    case Failure::kDropped:
+      return transient_retry(attempts);
+    case Failure::kSnapshotGone:
       // A needed version is gone at its owner (eviction raced our map
       // lookup).  Nothing to undo or release — the snapshot path holds no
       // locks and writes nothing; retry under a fresh stamp, whose newest
       // versions are always resolvable.
       core_.counters.snapshot_retries->add();
       current_ = nullptr;
-      if (core_.scheduler->cancelled() ||
-          attempts >= core_.config.max_retries) {
-        result_.committed = false;
-        result_.reason = AbortReason::kRetryExhausted;
-        break;
-      }
-      family_.reset();
-      backoff(attempts);
-      continue;
-    } catch (const Error&) {
-      // Programming error (precluded recursion, undeclared access, protocol
-      // invariant violation): clean the family up and surface the exception
-      // from Cluster::execute once the batch drains.
-      error_ = std::current_exception();
+      return retry_after_backoff(attempts);
+    case Failure::kError:
       try {
         abort_family(AbortReason::kUser);
       } catch (...) {
@@ -245,13 +227,29 @@ void FamilyRunner::run() {
       }
       result_.committed = false;
       result_.reason = AbortReason::kUser;
-      break;
-    }
+      return false;
   }
-  if (CheckSink* s = check())
-    s->on_family_outcome(family_.id(), result_.committed);
-  result_.attempts = attempts;
-  result_.txns_in_tree = family_.num_txns();
+  return false;
+}
+
+bool FamilyRunner::retry_after_backoff(int attempts) {
+  if (core_.scheduler.cancelled() || attempts >= core_.config.max_retries) {
+    result_.committed = false;
+    result_.reason = AbortReason::kRetryExhausted;
+    return false;
+  }
+  family_.reset();
+  backoff(attempts);
+  return true;
+}
+
+bool FamilyRunner::try_abort_family(AbortReason reason) {
+  try {
+    abort_family(reason);
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -291,14 +289,11 @@ void FamilyRunner::discard_local_state() {
   // reclaims the family's locks by lease expiry.  Pins taken after the site
   // already restarted (the crash goes unnoticed until the next checkpoint)
   // survived the wipe, though, and must be returned here or they leak.
-  {
-    Node& mine = core_.node(node_);
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    const std::uint64_t now =
-        core_.fault != nullptr ? core_.fault->wipe_count(node_) : 0;
-    for (const auto& [object, epoch] : pin_epochs_)
-      if (epoch == now) mine.unpin(object);
-  }
+  Node& mine = core_.node(node_);
+  const std::uint64_t now =
+      core_.fault != nullptr ? core_.fault->wipe_count(node_) : 0;
+  for (const auto& [object, epoch] : pin_epochs_)
+    if (epoch == now) mine.unpin(object);
   pin_epochs_.clear();
   pending_grant_.reset();
   blocked_on_ = ObjectId{};
@@ -332,7 +327,7 @@ bool FamilyRunner::crash_retry(int attempts, bool was_committing) {
   // (some objects released with their new versions published, the rest
   // reclaimed by lease).  Re-running it would double-apply the committed
   // prefix, so the family ends here, honestly reported as failed.
-  if (was_committing || core_.scheduler->cancelled() ||
+  if (was_committing || core_.scheduler.cancelled() ||
       attempts >= core_.config.max_retries) {
     result_.committed = false;
     result_.reason = AbortReason::kNodeFailure;
@@ -344,9 +339,7 @@ bool FamilyRunner::crash_retry(int attempts, bool was_committing) {
 }
 
 bool FamilyRunner::transient_retry(int attempts) {
-  try {
-    abort_family(AbortReason::kNodeFailure);
-  } catch (const Error&) {
+  if (!try_abort_family(AbortReason::kNodeFailure)) {
     // The abort path itself hit an unreachable node (e.g. an object's whole
     // directory chain is down).  Release what is still releasable object by
     // object, then drop the rest locally; the end-of-run reclamation sweep
@@ -369,7 +362,6 @@ bool FamilyRunner::transient_retry(int attempts) {
         (void)core_.gdo.release_family(object, family_.id(), node_, nullptr);
       } catch (...) {
       }
-      std::lock_guard<std::mutex> lock(mine.store_mu);
       if (ObjectImage* img = mine.store.find(object)) img->clear_dirty();
       unpin_here(mine, object);
     }
@@ -377,7 +369,7 @@ bool FamilyRunner::transient_retry(int attempts) {
   }
   ++result_.fault_retries;
   core_.counters.fault_retries->add();
-  if (core_.scheduler->cancelled() || attempts >= core_.config.max_retries) {
+  if (core_.scheduler.cancelled() || attempts >= core_.config.max_retries) {
     result_.committed = false;
     result_.reason = AbortReason::kNodeFailure;
     return false;
@@ -389,7 +381,7 @@ bool FamilyRunner::transient_retry(int attempts) {
 
 void FamilyRunner::backoff(int attempts) {
   for (int back = 0; back < attempts && back < 4; ++back)
-    core_.scheduler->preempt(index_);
+    core_.scheduler.preempt(index_);
 }
 
 bool FamilyRunner::run_invocation(Transaction* parent, ObjectId object,
@@ -410,6 +402,7 @@ bool FamilyRunner::run_invocation(Transaction* parent, ObjectId object,
                     object);
   Transaction* const saved = current_;
   current_ = &txn;
+  AbortReason reason = AbortReason::kUser;
   try {
     // Snapshot mode reads a committed past: no prefetch planning (there is
     // no lock round to amortize it into) and no lock acquisition at all —
@@ -441,15 +434,17 @@ bool FamilyRunner::run_invocation(Transaction* parent, ObjectId object,
     current_ = saved;
     return true;
   } catch (const TxnAbort& abort) {
-    if (parent != nullptr) {
-      abort_subtree(txn);
-    } else {
-      last_abort_reason_ = abort.reason();
-      abort_family(abort.reason());
-    }
-    current_ = saved;
-    return false;
+    // Only record the reason: the undo below runs outside the handler.
+    reason = abort.reason();
   }
+  if (parent != nullptr) {
+    abort_subtree(txn);
+  } else {
+    last_abort_reason_ = reason;
+    abort_family(reason);
+  }
+  current_ = saved;
+  return false;
 }
 
 void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
@@ -477,11 +472,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
     core_.counters.local_lock_grants->add();
     if (CheckSink* s = check())
       s->on_local_grant(family_.id(), txn.id().serial, object, mode);
-    {
-      Node& mine = core_.node(node_);
-      std::lock_guard<std::mutex> lock(mine.store_mu);
-      mine.touch(object);
-    }
+    core_.node(node_).touch(object);
     // LOTEC top-up: a later method of the family may predict pages the
     // first transfer skipped; they are still described accurately by the
     // cached page map (no other family can have changed them while the
@@ -501,7 +492,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
   const bool remote = core_.gdo.home_of(object) != node_;
   ScopedSpan gdo_round(&core_.obs.tracer, SpanPhase::kGdoRound,
                        family_.id().value(), node_.value(), object.value());
-  core_.scheduler->preempt(index_);  // interleaving point at a global op
+  core_.scheduler.preempt(index_);  // interleaving point at a global op
   // Another family of this site may have cached the lock while we were
   // preempted.  The directory drops this site's own marker on acquire, so
   // that entry must be re-granted (or flushed) here, or its deferred
@@ -516,7 +507,7 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
   PageMap granted_map;
   if (res.status == AcquireStatus::kQueued) {
     blocked_on_ = object;
-    core_.scheduler->block(index_);  // may throw DeadlockVictimError
+    core_.scheduler.block(index_);  // may throw DeadlockVictimError
     blocked_on_ = ObjectId{};
     if (!pending_grant_ || pending_grant_->object != object)
       throw Error("family woken without a matching lock grant");
@@ -546,7 +537,6 @@ void FamilyRunner::acquire_for(const Transaction& txn, ObjectId object,
   if (!upgrade) {
     object_maps_.insert_or_assign(object, std::move(granted_map));
     Node& mine = core_.node(node_);
-    std::lock_guard<std::mutex> lock(mine.store_mu);
     pin_here(mine, object);
     mine.touch(object);
   }
@@ -580,7 +570,7 @@ void FamilyRunner::run_prefetch(const Transaction& root) {
       continue;
     }
 
-    core_.scheduler->preempt(index_);
+    core_.scheduler.preempt(index_);
     // As in acquire_for: a lock this site cached while we were preempted
     // is re-granted (or flushed) before the directory drops its marker.
     if (try_cache_regrant(root, object, mode, /*prefetch=*/true)) {
@@ -592,7 +582,7 @@ void FamilyRunner::run_prefetch(const Transaction& root) {
     PageMap granted_map;
     if (res.status == AcquireStatus::kQueued) {
       blocked_on_ = object;
-      core_.scheduler->block(index_);
+      core_.scheduler.block(index_);
       blocked_on_ = ObjectId{};
       if (!pending_grant_ || pending_grant_->object != object)
         throw Error("family woken without a matching lock grant (prefetch)");
@@ -611,12 +601,9 @@ void FamilyRunner::run_prefetch(const Transaction& root) {
                          /*upgrade=*/false, /*cached_regrant=*/false,
                          /*prefetch=*/true);
     object_maps_.insert_or_assign(object, std::move(granted_map));
-    {
-      Node& mine = core_.node(node_);
-      std::lock_guard<std::mutex> lock(mine.store_mu);
-      pin_here(mine, object);
-      mine.touch(object);
-    }
+    Node& mine = core_.node(node_);
+    pin_here(mine, object);
+    mine.touch(object);
     ObjectImage& img = local_image(object);
     const PageSet fetch = core_.protocol_for(meta).pages_to_transfer(
         node_, img, object_maps_.at(object), summary.predicted_pages);
@@ -668,11 +655,8 @@ bool FamilyRunner::try_cache_regrant(const Transaction& txn, ObjectId object,
     s->on_global_grant(family_.id(), txn.id().serial, object, *granted,
                        /*upgrade=*/false, /*cached_regrant=*/true, prefetch);
   object_maps_.insert_or_assign(object, cached->map);
-  {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    pin_here(mine, object);
-    mine.touch(object);
-  }
+  pin_here(mine, object);
+  mine.touch(object);
   return true;
 }
 
@@ -718,12 +702,9 @@ void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
   const std::size_t num_pages = obj_meta.num_pages;
   const bool delta_mode = core_.protocol_for(obj_meta).delta_transfers();
   FlatMap<std::uint32_t, Lsn> my_versions;
-  if (delta_mode) {
-    Node& mine = core_.node(node_);
-    std::lock_guard<std::mutex> lock(mine.store_mu);
+  if (delta_mode)
     for (const PageIndex p : wanted_all)
       if (image.has_page(p)) my_versions[p.value()] = image.page_version(p);
-  }
 
   for (std::size_t s = 0; s < n_nodes; ++s) {
     if (counts[s] == 0) continue;
@@ -743,40 +724,36 @@ void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
     std::vector<std::pair<PageIndex, PagePatch>> patched;
     copied.reserve(wanted.size());
     std::uint64_t reply_payload = 0;
-    {
-      Node& src = core_.node(source);
-      std::lock_guard<std::mutex> lock(src.store_mu);
-      const ObjectImage& simg = src.store.get(object);
-      for (const PageIndex p : wanted) {
-        const Page& page = simg.page(p);
-        std::optional<std::uint64_t> chain;
-        const auto have = my_versions.find(p.value());
-        if (delta_mode && have != my_versions.end())
-          chain = page.delta_chain_bytes(have->second);
-        if (chain && *chain < core_.config.page_size) {
-          // Few versions behind: the wire carries only the delta chain, so
-          // copy only the changed spans here — a full Page copy would hold
-          // the source's store_mu for the whole page payload.
-          PagePatch patch;
-          patch.version = page.version;
-          patch.tick = page.tick;
-          patch.history = page.history;
-          for (const PageDelta& d : page.history) {
-            for (const auto& [off, len] : d.ranges)
-              patch.spans.emplace_back(
-                  off, std::vector<std::byte>(
-                           page.data.begin() + off,
-                           page.data.begin() + off + len));
-            if (d.from_version == have->second) break;
-          }
-          patched.emplace_back(p, std::move(patch));
-          reply_payload += *chain;
-          ++result_.delta_pages;
-          core_.counters.delta_pages->add();
-        } else {
-          reply_payload += core_.config.page_size + 8ULL;
-          copied.emplace_back(p, page);
+    Node& src = core_.node(source);
+    const ObjectImage& simg = src.store.get(object);
+    for (const PageIndex p : wanted) {
+      const Page& page = simg.page(p);
+      std::optional<std::uint64_t> chain;
+      const auto have = my_versions.find(p.value());
+      if (delta_mode && have != my_versions.end())
+        chain = page.delta_chain_bytes(have->second);
+      if (chain && *chain < core_.config.page_size) {
+        // Few versions behind: the wire carries only the delta chain, so
+        // copy only the changed spans here, not the whole page payload.
+        PagePatch patch;
+        patch.version = page.version;
+        patch.tick = page.tick;
+        patch.history = page.history;
+        for (const PageDelta& d : page.history) {
+          for (const auto& [off, len] : d.ranges)
+            patch.spans.emplace_back(
+                off, std::vector<std::byte>(
+                         page.data.begin() + off,
+                         page.data.begin() + off + len));
+          if (d.from_version == have->second) break;
         }
+        patched.emplace_back(p, std::move(patch));
+        reply_payload += *chain;
+        ++result_.delta_pages;
+        core_.counters.delta_pages->add();
+      } else {
+        reply_payload += core_.config.page_size + 8ULL;
+        copied.emplace_back(p, page);
       }
     }
     core_.transport.send(
@@ -784,25 +761,21 @@ void FamilyRunner::fetch_pages(ObjectId object, ObjectImage& image,
                 : MessageKind::kPageFetchReply,
          source, node_, object, reply_payload});
     serve.finish();
-    {
-      Node& mine = core_.node(node_);
-      std::lock_guard<std::mutex> lock(mine.store_mu);
-      for (auto& [p, page] : copied) {
-        // Lock discipline guarantees the owner's content is current even if
-        // its version stamp lags a concurrent release; trust the map.
-        page.version = std::max(page.version, map.at(p).version);
-        map.record_current(p, node_, page.version);
-        if (core_.fault != nullptr)
-          core_.fault->note_page(node_, object, num_pages, p, page);
-        image.install_page(p, std::move(page));
-      }
-      for (auto& [p, patch] : patched) {
-        patch.version = std::max(patch.version, map.at(p).version);
-        image.patch_page(p, patch);
-        map.record_current(p, node_, image.page_version(p));
-        if (core_.fault != nullptr)
-          core_.fault->note_page(node_, object, num_pages, p, image.page(p));
-      }
+    for (auto& [p, page] : copied) {
+      // Lock discipline guarantees the owner's content is current even if
+      // its version stamp lags a concurrent release; trust the map.
+      page.version = std::max(page.version, map.at(p).version);
+      map.record_current(p, node_, page.version);
+      if (core_.fault != nullptr)
+        core_.fault->note_page(node_, object, num_pages, p, page);
+      image.install_page(p, std::move(page));
+    }
+    for (auto& [p, patch] : patched) {
+      patch.version = std::max(patch.version, map.at(p).version);
+      image.patch_page(p, patch);
+      map.record_current(p, node_, image.page_version(p));
+      if (core_.fault != nullptr)
+        core_.fault->note_page(node_, object, num_pages, p, image.page(p));
     }
     if (!prefetch_batch_) {
       ++result_.remote_round_trips;
@@ -825,16 +798,12 @@ void FamilyRunner::ensure_fresh(ObjectId object, const PageSet& pages) {
     throw Error("attribute access without an acquired lock / page map");
   ObjectImage& img = local_image(object);
   PageSet missing(pages.universe_size());
-  {
-    Node& mine = core_.node(node_);
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    for (const PageIndex p : pages.to_vector()) {
-      const PageLocation& loc = mit->second.at(p);
-      const bool fresh =
-          loc.node == node_ ||
-          (img.has_page(p) && img.page_version(p) >= loc.version);
-      if (!fresh) missing.insert(p);
-    }
+  for (const PageIndex p : pages.to_vector()) {
+    const PageLocation& loc = mit->second.at(p);
+    const bool fresh =
+        loc.node == node_ ||
+        (img.has_page(p) && img.page_version(p) >= loc.version);
+    if (!fresh) missing.insert(p);
   }
   if (missing.empty()) return;
   const ConsistencyProtocol& protocol = core_.protocol_for(core_.meta_of(object));
@@ -861,11 +830,8 @@ void FamilyRunner::begin_snapshot_attempt() {
 void FamilyRunner::end_snapshot_attempt() {
   if (!snapshot_active_) return;
   Node& mine = core_.node(node_);
-  {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    for (const ObjectId object : snapshot_objects_)
-      mine.store.unpin_snapshot(object);
-  }
+  for (const ObjectId object : snapshot_objects_)
+    mine.store.unpin_snapshot(object);
   snapshot_objects_.clear();
   snapshot_versions_.clear();
   core_.snapshots.release_stamp(snapshot_stamp_);
@@ -880,41 +846,34 @@ void FamilyRunner::snapshot_acquire(ObjectId object) {
 
   Node& mine = core_.node(node_);
   bool have_map = false;
-  {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    const auto it = mine.snapshot_maps.find(object);
-    // A cached map with tick >= our stamp already contains every
-    // publication our snapshot may resolve to.
-    have_map = it != mine.snapshot_maps.end() &&
-               it->second.tick >= snapshot_stamp_;
-  }
+  const auto it = mine.snapshot_maps.find(object);
+  // A cached map with tick >= our stamp already contains every
+  // publication our snapshot may resolve to.
+  have_map = it != mine.snapshot_maps.end() &&
+             it->second.tick >= snapshot_stamp_;
   if (!have_map) {
     // One lock-free directory round: where does each page's newest copy
     // live?  This replaces the lock acquisition round — it is the only
     // directory traffic a snapshot family generates per object.
     ScopedSpan round(&core_.obs.tracer, SpanPhase::kSnapshotMapRound,
                      family_.id().value(), node_.value(), object.value());
-    core_.scheduler->preempt(index_);
+    core_.scheduler.preempt(index_);
     GdoService::SnapshotMap fetched = core_.gdo.snapshot_lookup(object, node_);
     core_.counters.snapshot_map_refreshes->add();
     if (core_.gdo.home_of(object) != node_) {
       ++result_.remote_round_trips;
       core_.counters.remote_round_trips->add();
     }
-    std::lock_guard<std::mutex> lock(mine.store_mu);
     mine.snapshot_maps[object] =
         Node::CachedSnapshotMap{std::move(fetched.map), fetched.tick};
   }
-  {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    if (mine.store.find(object) == nullptr) {
-      const ObjectMeta meta = core_.meta_of(object);
-      mine.store.create(object, meta.num_pages, core_.config.page_size,
-                        /*materialize=*/false);
-    }
-    mine.store.pin_snapshot(object);
-    mine.touch(object);
+  if (mine.store.find(object) == nullptr) {
+    const ObjectMeta meta = core_.meta_of(object);
+    mine.store.create(object, meta.num_pages, core_.config.page_size,
+                      /*materialize=*/false);
   }
+  mine.store.pin_snapshot(object);
+  mine.touch(object);
   snapshot_objects_.push_back(object);
 }
 
@@ -936,7 +895,6 @@ void FamilyRunner::snapshot_read_bytes(Transaction& txn, ObjectId object,
   // owner's version ring knows which older version tops out at the stamp.
   PageSet missing(pages.universe_size());
   {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
     const auto mit = mine.snapshot_maps.find(object);
     if (mit == mine.snapshot_maps.end())
       throw Error("snapshot read without a snapshot map");
@@ -969,10 +927,9 @@ void FamilyRunner::snapshot_read_bytes(Transaction& txn, ObjectId object,
     snapshot_fetch(object, missing);
   core_.counters.snapshot_local_hits->add(wanted.size() - missing.count());
 
-  // Pass 2 — resolve and copy under ONE store_mu hold (SnapshotView borrows
+  // Pass 2 — resolve and copy with no fetch in between (SnapshotView borrows
   // storage, so the views must stay valid through the byte copy), verifying
   // every page against its required version.
-  std::lock_guard<std::mutex> lock(mine.store_mu);
   const ObjectImage& img = mine.store.get(object);
   CheckSink* const s = check();
   for (const PageIndex p : wanted) {
@@ -1007,13 +964,10 @@ void FamilyRunner::snapshot_read_bytes(Transaction& txn, ObjectId object,
 void FamilyRunner::snapshot_fetch(ObjectId object, const PageSet& missing) {
   PageMap map;
   Node& mine = core_.node(node_);
-  {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    const auto it = mine.snapshot_maps.find(object);
-    if (it == mine.snapshot_maps.end())
-      throw Error("snapshot fetch without a snapshot map");
-    map = it->second.map;
-  }
+  const auto it = mine.snapshot_maps.find(object);
+  if (it == mine.snapshot_maps.end())
+    throw Error("snapshot fetch without a snapshot map");
+  map = it->second.map;
   ScopedSpan gather(&core_.obs.tracer, SpanPhase::kSnapshotFetch,
                     family_.id().value(), node_.value(), object.value());
 
@@ -1055,7 +1009,7 @@ void FamilyRunner::snapshot_fetch(ObjectId object, const PageSet& missing) {
     const NodeId source(static_cast<std::uint32_t>(sidx));
     const std::span<const PageIndex> wanted(grouped + offsets[sidx],
                                             counts[sidx]);
-    core_.scheduler->preempt(index_);
+    core_.scheduler.preempt(index_);
     core_.transport.send({MessageKind::kSnapshotFetchRequest, node_, source,
                           object,
                           wanted.size() * wire::kPageRequestEntryBytes});
@@ -1064,42 +1018,36 @@ void FamilyRunner::snapshot_fetch(ObjectId object, const PageSet& missing) {
     std::vector<Fetched> copied;
     copied.reserve(wanted.size());
     std::uint64_t reply_payload = 0;
-    {
-      Node& src = core_.node(source);
-      std::lock_guard<std::mutex> lock(src.store_mu);
-      const ObjectImage* simg = src.store.find(object);
-      for (const PageIndex p : wanted) {
-        const std::optional<SnapshotView> v =
-            simg != nullptr ? simg->snapshot_page(p, snapshot_stamp_)
-                            : std::nullopt;
-        if (!v)
-          // The owner's ring dropped the version (it was published before
-          // our stamp registered).  Retry under a fresh stamp.
-          throw SnapshotUnavailableError(
-              "snapshot version gone at owner, object " +
-              std::to_string(object.value()) + " page " +
-              std::to_string(p.value()));
-        copied.push_back(
-            Fetched{p,
-                    std::vector<std::byte>(v->data,
-                                           v->data + core_.config.page_size),
-                    v->version, v->tick});
-        reply_payload += core_.config.page_size + 8ULL;
-      }
+    Node& src = core_.node(source);
+    const ObjectImage* simg = src.store.find(object);
+    for (const PageIndex p : wanted) {
+      const std::optional<SnapshotView> v =
+          simg != nullptr ? simg->snapshot_page(p, snapshot_stamp_)
+                          : std::nullopt;
+      if (!v)
+        // The owner's ring dropped the version (it was published before
+        // our stamp registered).  Retry under a fresh stamp.
+        throw SnapshotUnavailableError(
+            "snapshot version gone at owner, object " +
+            std::to_string(object.value()) + " page " +
+            std::to_string(p.value()));
+      copied.push_back(
+          Fetched{p,
+                  std::vector<std::byte>(v->data,
+                                         v->data + core_.config.page_size),
+                  v->version, v->tick});
+      reply_payload += core_.config.page_size + 8ULL;
     }
     core_.transport.send({MessageKind::kSnapshotFetchReply, source, node_,
                           object, reply_payload});
     serve.finish();
-    {
-      std::lock_guard<std::mutex> lock(mine.store_mu);
-      ObjectImage& img = mine.store.get(object);
-      for (Fetched& f : copied) {
-        // emplace: a page whose requirement the map already named keeps it;
-        // the verify pass cross-checks the owner's resolution against it.
-        snapshot_versions_.emplace(
-            std::make_pair(object.value(), f.page.value()), f.version);
-        img.adopt_version(f.page, std::move(f.data), f.version, f.tick);
-      }
+    ObjectImage& img = mine.store.get(object);
+    for (Fetched& f : copied) {
+      // emplace: a page whose requirement the map already named keeps it;
+      // the verify pass cross-checks the owner's resolution against it.
+      snapshot_versions_.emplace(
+          std::make_pair(object.value(), f.page.value()), f.version);
+      img.adopt_version(f.page, std::move(f.data), f.version, f.tick);
     }
     ++result_.remote_round_trips;
     core_.counters.remote_round_trips->add();
@@ -1138,11 +1086,8 @@ void FamilyRunner::abort_subtree(Transaction& txn) {
   Node& mine = core_.node(node_);
   for (const ObjectId object : to_release) {
     object_maps_.erase(object);
-    {
-      std::lock_guard<std::mutex> lock(mine.store_mu);
-      if (ObjectImage* img = mine.store.find(object)) img->clear_dirty();
-      unpin_here(mine, object);
-    }
+    if (ObjectImage* img = mine.store.find(object)) img->clear_dirty();
+    unpin_here(mine, object);
     items.push_back(ReleaseItem{object, std::nullopt});
   }
   (void)core_.gdo.release_batch(family_.id(), node_, items);
@@ -1169,25 +1114,22 @@ void FamilyRunner::broken_retention_release(Transaction& txn) {
     const std::size_t npages = core_.meta_of(object).num_pages;
     const Lsn next = core_.gdo.version_counter(object) + 1;
     ReleaseItem item{object, ReleaseInfo{}};
-    {
-      std::lock_guard<std::mutex> lock(mine.store_mu);
-      ObjectImage* img = mine.store.find(object);
-      if (img != nullptr) {
-        item.info->dirty = img->dirty_pages();
-        if (!item.info->dirty.empty()) {
-          const PageSet stamped = img->stamp_dirty(next);
-          for (const PageIndex p : stamped.to_vector()) {
-            if (core_.fault != nullptr)
-              core_.fault->note_page(node_, object, npages, p, img->page(p));
-            if (CheckSink* s = check())
-              s->on_commit_stamp(family_.id(), object, p, next, node_);
-          }
+    ObjectImage* img = mine.store.find(object);
+    if (img != nullptr) {
+      item.info->dirty = img->dirty_pages();
+      if (!item.info->dirty.empty()) {
+        const PageSet stamped = img->stamp_dirty(next);
+        for (const PageIndex p : stamped.to_vector()) {
+          if (core_.fault != nullptr)
+            core_.fault->note_page(node_, object, npages, p, img->page(p));
+          if (CheckSink* s = check())
+            s->on_commit_stamp(family_.id(), object, p, next, node_);
         }
-      } else {
-        item.info->dirty = PageSet(npages);
       }
-      unpin_here(mine, object);
+    } else {
+      item.info->dirty = PageSet(npages);
     }
+    unpin_here(mine, object);
     items.push_back(std::move(item));
   }
   (void)core_.gdo.release_batch(family_.id(), node_, items);
@@ -1270,15 +1212,15 @@ void FamilyRunner::release_all(bool commit) {
           std::max(core_.gdo.version_counter(item.object),
                    item.info->advance_to) + 1;
       const std::size_t npages = core_.meta_of(item.object).num_pages;
-      std::lock_guard<std::mutex> lock(mine.store_mu);
       ObjectImage& img = mine.store.get(item.object);
       const PageSet stamped = img.stamp_dirty(next, commit_tick);
       if (core_.fault != nullptr)
         for (const PageIndex p : stamped.to_vector())
           core_.fault->note_page(node_, item.object, npages, p, img.page(p));
       if (CheckSink* s = check())
-        for (const PageIndex p : stamped.to_vector())
+        stamped.for_each([&](PageIndex p) {
           s->on_commit_stamp(family_.id(), item.object, p, next, node_);
+        });
       if (core_.protocol_for(core_.meta_of(item.object)).eager_push_on_release()) {
         Stamped s{item.object, {}, next};
         for (const PageIndex p : stamped.to_vector())
@@ -1288,7 +1230,6 @@ void FamilyRunner::release_all(bool commit) {
     }
   } else {
     for (const auto& item : items) {
-      std::lock_guard<std::mutex> lock(mine.store_mu);
       if (ObjectImage* img = mine.store.find(item.object)) img->clear_dirty();
     }
   }
@@ -1307,10 +1248,7 @@ void FamilyRunner::release_all(bool commit) {
                          commit ? CheckReleaseReason::kRootCommit
                                 : CheckReleaseReason::kRootAbort);
 
-  {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    for (const auto& item : items) unpin_here(mine, item.object);
-  }
+  for (const auto& item : items) unpin_here(mine, item.object);
   object_maps_.clear();
   family_.locks().clear();
   core_.enforce_lock_cache_capacity(mine);
@@ -1336,43 +1274,40 @@ bool FamilyRunner::try_retain(ObjectId object, bool commit) {
     entry.max_version = prev->max_version;
   }
   const std::size_t npages = core_.meta_of(object).num_pages;
-  {
-    std::lock_guard<std::mutex> lock(mine.store_mu);
-    ObjectImage* img = mine.store.find(object);
-    if (img != nullptr && commit) {
-      if (entry.mode == LockMode::kWrite) {
-        // Residency ("current") reports are deferred like the dirty stamps
-        // and applied when the report is flushed.
-        const PageSet report =
-            core_.protocol_for(core_.meta_of(object)).pages_to_report(*img);
-        for (const PageIndex p : report.to_vector()) {
-          Lsn& rec = entry.report[p];
-          rec = std::max(rec, img->page_version(p));
-        }
+  ObjectImage* img = mine.store.find(object);
+  if (img != nullptr && commit) {
+    if (entry.mode == LockMode::kWrite) {
+      // Residency ("current") reports are deferred like the dirty stamps
+      // and applied when the report is flushed.
+      const PageSet report =
+          core_.protocol_for(core_.meta_of(object)).pages_to_report(*img);
+      for (const PageIndex p : report.to_vector()) {
+        Lsn& rec = entry.report[p];
+        rec = std::max(rec, img->page_version(p));
       }
-      if (!img->dirty_pages().empty()) {
-        // Deferred version stamping: the directory's counter stands still
-        // while releases are cached, so sequence locally above both the
-        // counter and our own deferred maximum.
-        const Lsn next =
-            std::max(core_.gdo.version_counter(object),
-                     entry.max_version) + 1;
-        const PageSet stamped = img->stamp_dirty(next);
-        for (const PageIndex p : stamped.to_vector()) {
-          entry.report[p] = next;
-          if (core_.fault != nullptr)
-            core_.fault->note_page(node_, object, npages, p, img->page(p));
-          if (CheckSink* s = check())
-            s->on_commit_stamp(family_.id(), object, p, next, node_);
-        }
-        entry.map.record_update(stamped, node_, next);
-        entry.max_version = next;
-      }
-    } else if (img != nullptr) {
-      img->clear_dirty();
     }
-    unpin_here(mine, object);
+    if (!img->dirty_pages().empty()) {
+      // Deferred version stamping: the directory's counter stands still
+      // while releases are cached, so sequence locally above both the
+      // counter and our own deferred maximum.
+      const Lsn next =
+          std::max(core_.gdo.version_counter(object),
+                   entry.max_version) + 1;
+      const PageSet stamped = img->stamp_dirty(next);
+      for (const PageIndex p : stamped.to_vector()) {
+        entry.report[p] = next;
+        if (core_.fault != nullptr)
+          core_.fault->note_page(node_, object, npages, p, img->page(p));
+        if (CheckSink* s = check())
+          s->on_commit_stamp(family_.id(), object, p, next, node_);
+      }
+      entry.map.record_update(stamped, node_, next);
+      entry.max_version = next;
+    }
+  } else if (img != nullptr) {
+    img->clear_dirty();
   }
+  unpin_here(mine, object);
   mine.lock_cache.put(object, std::move(entry));
   return true;
 }
@@ -1397,7 +1332,6 @@ ReleaseItem FamilyRunner::make_release_item(ObjectId object, bool commit) {
     const LocalLock* lock_state = family_.locks().find(object);
     const bool exclusive =
         lock_state != nullptr && lock_state->global_mode == LockMode::kWrite;
-    std::lock_guard<std::mutex> lock(mine.store_mu);
     if (const ObjectImage* img = mine.store.find(object)) {
       item.info->dirty = img->dirty_pages();
       if (exclusive) {
@@ -1439,26 +1373,22 @@ void FamilyRunner::push_updates(
     if (std::find(skipped.begin(), skipped.end(), site) != skipped.end())
       continue;
     Node& target = core_.node(site);
-    {
-      std::lock_guard<std::mutex> lock(target.store_mu);
-      ObjectImage& img = target.store.get_or_create(object, meta.num_pages,
-                                                    core_.config.page_size);
-      // Defensive version guard: never replace a newer page with an older
-      // pushed copy (belt to the push-before-release braces above).
-      for (const auto& [p, page] : pages)
-        if (!img.has_page(p) || img.page_version(p) < page.version) {
-          img.install_page(p, page);
-          if (core_.fault != nullptr)
-            core_.fault->note_page(site, object, meta.num_pages, p, page);
-        }
-    }
+    ObjectImage& img = target.store.get_or_create(object, meta.num_pages,
+                                                  core_.config.page_size);
+    // Defensive version guard: never replace a newer page with an older
+    // pushed copy (belt to the push-before-release braces above).
+    for (const auto& [p, page] : pages)
+      if (!img.has_page(p) || img.page_version(p) < page.version) {
+        img.install_page(p, page);
+        if (core_.fault != nullptr)
+          core_.fault->note_page(site, object, meta.num_pages, p, page);
+      }
     core_.enforce_cache_capacity(target);
   }
 }
 
 ObjectImage& FamilyRunner::local_image(ObjectId object) {
   Node& mine = core_.node(node_);
-  std::lock_guard<std::mutex> lock(mine.store_mu);
   if (ObjectImage* img = mine.store.find(object)) return *img;
   const ObjectMeta meta = core_.meta_of(object);
   return mine.store.create(object, meta.num_pages, core_.config.page_size,
@@ -1503,13 +1433,12 @@ void MethodContext::read_raw(AttrId attr, std::span<std::byte> out) {
   }
   runner_.ensure_fresh(txn_.target(), pages);
   ObjectImage& img = runner_.local_image(txn_.target());
-  Node& mine = runner_.core_.node(runner_.node_);
-  std::lock_guard<std::mutex> lock(mine.store_mu);
   if (CheckSink* s = runner_.check())
-    for (const PageIndex p : pages.to_vector())
+    pages.for_each([&](PageIndex p) {
       s->on_page_access(runner_.family_.id(), txn_.id().serial, txn_.target(),
                         p, img.has_page(p) ? img.page_version(p) : 0,
                         /*write=*/false);
+    });
   img.read_bytes(cls_.layout().offset_of(attr), out);
 }
 
@@ -1525,13 +1454,12 @@ void MethodContext::write_raw(AttrId attr, std::span<const std::byte> in) {
   const PageSet pages = check_access(attr, /*write=*/true);
   runner_.ensure_fresh(txn_.target(), pages);
   ObjectImage& img = runner_.local_image(txn_.target());
-  Node& mine = runner_.core_.node(runner_.node_);
-  std::lock_guard<std::mutex> lock(mine.store_mu);
   if (CheckSink* s = runner_.check())
-    for (const PageIndex p : pages.to_vector())
+    pages.for_each([&](PageIndex p) {
       s->on_page_access(runner_.family_.id(), txn_.id().serial, txn_.target(),
                         p, img.has_page(p) ? img.page_version(p) : 0,
                         /*write=*/true);
+    });
   const std::uint64_t offset = cls_.layout().offset_of(attr);
   txn_.undo().before_write(img, offset, in.size());
   img.write_bytes(offset, in);

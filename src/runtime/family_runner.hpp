@@ -52,7 +52,7 @@ class FamilyRunner {
   /// Cluster::execute after the batch drains.
   [[nodiscard]] std::exception_ptr error() const noexcept { return error_; }
 
-  /// Wakeup delivery (called from another family's thread / the GDO path).
+  /// Wakeup delivery (called from another family / the GDO path).
   void deliver(Grant grant) { pending_grant_ = std::move(grant); }
 
   /// Is this runner parked on a queued global lock request?  Used by the
@@ -188,6 +188,27 @@ class FamilyRunner {
   /// first reachable node.  False if every node is unreachable.
   bool relocate_family();
 
+  /// What ended an attempt early (recorded in run()'s catch handlers).
+  enum class Failure : std::uint8_t {
+    kDeadlock,
+    kCrash,
+    kUnreachable,
+    kDropped,
+    kSnapshotGone,
+    kError,
+  };
+
+  /// Recover from a failed attempt outside the catch handler that recorded
+  /// it (recovery may switch fibers).  True = retry the loop.
+  bool recover(Failure failure, int attempts);
+
+  /// Reset and back off for another attempt unless the run is cancelled or
+  /// the retry budget is spent (then record kRetryExhausted).  True = retry.
+  bool retry_after_backoff(int attempts);
+
+  /// abort_family(), reporting an Error from its release traffic as false.
+  bool try_abort_family(AbortReason reason);
+
   /// Handle a crash of our own site mid-attempt.  True = retry the loop.
   bool crash_retry(int attempts, bool was_committing);
 
@@ -203,12 +224,10 @@ class FamilyRunner {
   /// may later be returned.  (The wipe count, not the crash epoch — the
   /// epoch flips the instant a crash fires, but the wipe lands later, and a
   /// pin taken in between dies in the wipe despite its fresh epoch.)
-  /// Caller holds store_mu.
   void pin_here(Node& site, ObjectId object);
 
   /// Return our pin on `object` unless a wipe since pin_here cleared it
   /// (unpinning then would throw or steal another family's refcount).
-  /// Caller holds store_mu.
   void unpin_here(Node& site, ObjectId object);
 
   [[nodiscard]] ObjectImage& local_image(ObjectId object);

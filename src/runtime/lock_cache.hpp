@@ -16,17 +16,11 @@
 // each page at the *latest* version this site gave it; flushing applies the
 // records through PageMap::record_current (whose version guard makes stale
 // records harmless) and advances the directory counter to max_version.
-//
-// Locking: the internal mutex is a leaf — it is taken with a GDO partition
-// lock held (callback handler) and with a Node::store_mu held (capacity
-// checks), and never the other way around.  The token scheduler runs one
-// family at a time, so contention is nil.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -76,24 +70,20 @@ class GlobalLockCache {
   }
 
   [[nodiscard]] std::optional<CachedLock> lookup(ObjectId obj) const {
-    std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(obj);
     if (it == entries_.end()) return std::nullopt;
     return it->second;
   }
 
   [[nodiscard]] bool contains(ObjectId obj) const {
-    std::lock_guard<std::mutex> lock(mu_);
     return entries_.count(obj) != 0;
   }
 
   [[nodiscard]] std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
     return entries_.size();
   }
 
   void put(ObjectId obj, CachedLock entry) {
-    std::lock_guard<std::mutex> lock(mu_);
     entry.last_use = ++use_tick_;
     const LockMode mode = entry.mode;
     entries_.insert_or_assign(obj, std::move(entry));
@@ -102,7 +92,6 @@ class GlobalLockCache {
   }
 
   void erase(ObjectId obj) {
-    std::lock_guard<std::mutex> lock(mu_);
     if (entries_.erase(obj) != 0 && check_ != nullptr)
       check_->on_cache_drop(site_, obj);
   }
@@ -111,10 +100,9 @@ class GlobalLockCache {
   /// invalidates the entry, a read request downgrades it (the map stays —
   /// the site's pages are still current until someone else writes).
   CachedFlush revoke(ObjectId obj, LockMode requested) {
-    std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(obj);
     if (it == entries_.end()) return {};
-    CachedFlush flush = extract_locked(it->second);
+    CachedFlush flush = extract_flush(it->second);
     if (requested == LockMode::kWrite) {
       entries_.erase(it);
       if (check_ != nullptr) check_->on_cache_drop(site_, obj);
@@ -131,10 +119,9 @@ class GlobalLockCache {
   /// Site-initiated flush (capacity eviction / end-of-batch drain): extract
   /// the pending report and drop the entry.
   CachedFlush take_flush(ObjectId obj) {
-    std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(obj);
     if (it == entries_.end()) return {};
-    CachedFlush flush = extract_locked(it->second);
+    CachedFlush flush = extract_flush(it->second);
     entries_.erase(it);
     if (check_ != nullptr) check_->on_cache_drop(site_, obj);
     return flush;
@@ -142,7 +129,6 @@ class GlobalLockCache {
 
   /// All cached objects, id-sorted (deterministic drain order).
   [[nodiscard]] std::vector<ObjectId> objects() const {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<ObjectId> out;
     out.reserve(entries_.size());
     for (const auto& [obj, e] : entries_) out.push_back(obj);
@@ -152,7 +138,6 @@ class GlobalLockCache {
 
   /// Cached objects, least recently used first (capacity eviction order).
   [[nodiscard]] std::vector<ObjectId> lru_order() const {
-    std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::pair<std::uint64_t, ObjectId>> order;
     order.reserve(entries_.size());
     for (const auto& [obj, e] : entries_) order.emplace_back(e.last_use, obj);
@@ -166,14 +151,13 @@ class GlobalLockCache {
   /// Crash wipe: the site's memory is gone, cached locks included (the
   /// directory reclaims the matching markers by lease).
   void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
     if (check_ != nullptr)
       for (const auto& [obj, e] : entries_) check_->on_cache_drop(site_, obj);
     entries_.clear();
   }
 
  private:
-  static CachedFlush extract_locked(CachedLock& e) {
+  static CachedFlush extract_flush(CachedLock& e) {
     CachedFlush flush;
     flush.records.assign(e.report.begin(), e.report.end());
     flush.advance_to = e.max_version;
@@ -182,7 +166,6 @@ class GlobalLockCache {
     return flush;
   }
 
-  mutable std::mutex mu_;
   // Hot lookup on every global-lock acquisition; iterations either sort
   // (objects, lru_order) or fan out commutative per-object drops (clear).
   FlatMap<ObjectId, CachedLock> entries_;

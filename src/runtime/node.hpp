@@ -1,10 +1,9 @@
 // Node: one site of the distributed system — its cached object pages plus
 // the bookkeeping for bounded caches (LRU order, lock pins, eviction
-// statistics).  All members are guarded by store_mu.
+// statistics).
 #pragma once
 
 #include <list>
-#include <mutex>
 #include <unordered_map>
 
 #include "common/ids.hpp"
@@ -18,9 +17,6 @@ struct Node {
   explicit Node(NodeId id_) : id(id_) {}
 
   NodeId id;
-  /// Guards everything below (remote page fetches read a peer node's
-  /// store; co-located families share one store).
-  std::mutex store_mu;
   PageStore store;
 
   /// Objects whose lock a family at this site currently holds; their pages
@@ -32,23 +28,19 @@ struct Node {
   std::uint64_t evicted_pages = 0;
 
   /// Global locks this site retains between families (callback-locking
-  /// extension; empty unless config.lock_cache).  Own leaf mutex — NOT
-  /// guarded by store_mu (the directory's callback handler reaches it while
-  /// holding a partition lock).
+  /// extension; empty unless config.lock_cache).
   GlobalLockCache lock_cache;
 
   /// Snapshot map cache (mv_read): the last directory map this site fetched
   /// per object, tagged with the commit tick it was current as of.  A
   /// reader with stamp S may reuse a cached map with tick >= S — every
   /// publication at or below S is already in it — and otherwise refreshes
-  /// via GdoService::snapshot_lookup.  Guarded by store_mu.
+  /// via GdoService::snapshot_lookup.
   struct CachedSnapshotMap {
     PageMap map;
     std::uint64_t tick = 0;
   };
   std::unordered_map<ObjectId, CachedSnapshotMap> snapshot_maps;
-
-  // Callers hold store_mu for all of the following.
 
   void touch(ObjectId obj) {
     const auto it = lru_pos.find(obj);

@@ -2,27 +2,40 @@
 //
 // A transaction family executes as straight-line code (method bodies with
 // nested invocations) that can *block* mid-stack on a queued global lock
-// request, so each active family gets a dedicated thread.  TokenScheduler
-// drives those threads cooperatively: exactly one family runs at a time; at
+// request, so each active family runs as a fiber: its own stack and
+// ucontext, switched on the thread that called run().  TokenScheduler
+// drives those fibers cooperatively: exactly one family runs at a time; at
 // every preemption point (global lock operations) a seeded RNG picks the
 // next runnable family.  Identical seeds yield identical interleavings,
 // which is what makes the benchmark traces and property tests reproducible.
 // When every active family is blocked, the stall callback picks a deadlock
 // victim, which is woken with DeadlockVictimError thrown from its block()
 // call.
+//
+// Everything runs on one thread, so no state behind the scheduler needs a
+// lock.  A scheduler (like the Cluster that owns one) is not thread-safe:
+// use one per thread.
+//
+// Fibers never switch inside a catch handler: the C++ runtime keeps the
+// caught-exception stack per thread, so a switch there would hand one
+// family's std::current_exception() to another.  block() and preempt()
+// throw UsageError when called from a handler.  run() itself may be called
+// from a handler: the fibers only push and pop their exceptions above the
+// caller's.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
+#include <ucontext.h>
+
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/span.hpp"
 
 namespace lotec {
 
@@ -43,14 +56,13 @@ class DeadlockVictimError {
 /// seeded RNG at every *real* decision point (two or more choices).
 /// `runnable` lists the family indices that could take the token next;
 /// `spawn_candidate` is the index of the next not-yet-started family when a
-/// thread slot is free, or TokenScheduler::kNoSpawn.  Return a value in
+/// fiber slot is free, or TokenScheduler::kNoSpawn.  Return a value in
 /// [0, runnable.size()]: values below runnable.size() hand the token to that
 /// runnable family, exactly runnable.size() (only legal when a spawn
 /// candidate exists) starts the spawn candidate.  Forced moves (one choice)
 /// and stall/victim resolution never consult the picker, so a recorded
 /// decision sequence is exactly the schedule's branching structure.  The
-/// picker runs under the scheduler mutex: it must not touch the scheduler
-/// or the cluster, only its own state.
+/// picker must not touch the scheduler or the cluster, only its own state.
 using SchedulePicker = std::function<std::size_t(
     const std::vector<std::size_t>& runnable, std::size_t spawn_candidate)>;
 
@@ -61,35 +73,45 @@ class TokenScheduler {
   /// (fatal).  Runs with no family executing.
   using StallHandler = std::function<std::size_t()>;
   static constexpr std::size_t kNoVictim = static_cast<std::size_t>(-1);
-  /// spawn_candidate value when no thread slot is free (see SchedulePicker).
+  /// spawn_candidate value when no fiber slot is free (see SchedulePicker).
   static constexpr std::size_t kNoSpawn = static_cast<std::size_t>(-1);
+  /// Usable stack of every family fiber (plus one guard page below it):
+  /// the usual default thread stack size (RLIMIT_STACK), so a family nests
+  /// as deep as it would on a thread of its own.  Nesting depth is up to
+  /// the workload; one nesting level takes a few KiB (more under
+  /// AddressSanitizer).  The mapping is MAP_NORESERVE, so only the pages a
+  /// family touches become resident.
+  static constexpr std::size_t kStackBytes = std::size_t{8} << 20;
 
   struct Config {
-    std::uint64_t seed = 1;
-    /// Maximum families with live threads at once; further families start
-    /// as earlier ones finish.
+    /// Maximum families started and not yet finished at once; further
+    /// families start as earlier ones finish.
     std::size_t max_active = 16;
     /// When set, consulted instead of the seeded RNG at every decision
     /// point with more than one choice.
     SchedulePicker picker;
   };
 
-  explicit TokenScheduler(Config config) : config_(config) {
-    if (config_.max_active == 0)
-      throw UsageError("TokenScheduler: max_active must be >= 1");
-  }
+  /// `tracer`'s open-span context follows the running fiber: each family
+  /// fiber (and the caller of run()) keeps its own span stack.
+  TokenScheduler(Config config, SpanTracer& tracer);
+  ~TokenScheduler();
+  TokenScheduler(const TokenScheduler&) = delete;
+  TokenScheduler& operator=(const TokenScheduler&) = delete;
 
-  /// Run all family bodies to completion.  `bodies[i]` executes family i;
+  /// Run all family bodies to completion on the calling thread, with
+  /// interleavings drawn from `seed`.  `bodies[i]` executes family i;
   /// bodies must not leak exceptions (the executor catches everything).
-  void run(std::vector<std::function<void()>> bodies, StallHandler on_stall);
+  void run(std::uint64_t seed, std::vector<std::function<void()>> bodies,
+           StallHandler on_stall);
 
-  /// Called from family `idx`'s own thread: give up the token until
+  /// Called from family `idx`'s own fiber: give up the token until
   /// wake(idx) and a later pick.  Throws DeadlockVictimError if victimized
   /// while blocked.
   void block(std::size_t idx);
 
-  /// Make a blocked family runnable (called from another family's thread
-  /// while it delivers lock-grant wakeups).  Idempotent.
+  /// Make a blocked family runnable (called from another family while it
+  /// delivers lock-grant wakeups).  Idempotent.
   void wake(std::size_t idx);
 
   /// Preemption point (called at global lock operations): hand the token
@@ -98,9 +120,7 @@ class TokenScheduler {
 
   /// True after an internal failure: executors should stop retrying and
   /// finish so the scheduler can drain.
-  [[nodiscard]] bool cancelled() const {
-    return cancelled_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] bool cancelled() const noexcept { return cancelled_; }
 
  private:
   enum class State : std::uint8_t {
@@ -111,32 +131,72 @@ class TokenScheduler {
     kDone
   };
 
-  /// Pick and hand the token to the next family (spawning a fresh thread
-  /// when a slot is free).  Requires mu_ held and no current runner.
-  void schedule_next_locked();
+  /// One fiber slot: a guard-paged stack reused by the families that run
+  /// in it one after another, and the open spans of its current family.
+  struct Slot {
+    void* mapping = nullptr;  ///< guard page + stack
+    ucontext_t ctx{};
+    void* fake_stack = nullptr;  ///< AddressSanitizer fake-stack handle
+    std::vector<SpanContextEntry> spans;
+  };
 
-  /// Wait until this family holds the token; returns with state kRunning.
-  /// Throws DeadlockVictimError if flagged as victim.
-  void await_token_locked(std::unique_lock<std::mutex>& lock,
-                          std::size_t idx);
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  /// Pick the next family and record it in current_ (starting a fresh
+  /// fiber when a slot is free).  Requires no current runner.
+  void schedule_next();
+  /// Give up the token from family `self` (kNone = the caller of run())
+  /// and return once it is handed back.  Throws DeadlockVictimError if
+  /// `self` was flagged as victim meanwhile.
+  void yield_from(std::size_t self);
+  /// Switch from the running context to family current_'s fiber, or to the
+  /// caller of run() when current_ is kNone.  `exiting` marks the last
+  /// switch away from a finished family's fiber.
+  void switch_to_current(bool exiting = false);
+  /// First thing a context does when it (re)gains the CPU: finish the
+  /// sanitizer switch and learn the caller's stack bounds from it.
+  void arrived(void* fake_stack);
+  void start_fiber(std::size_t idx);
+  void fiber_main();
+  static void fiber_entry(unsigned hi, unsigned lo);
+  void fail(std::string why);
+  void require_token(std::size_t idx, const char* op) const;
+
+  [[nodiscard]] ucontext_t& ctx_of(std::size_t family) {
+    return family == kNone ? caller_ctx_ : slots_[slot_of_[family]]->ctx;
+  }
 
   Config config_;
-  std::mutex mu_;
-  std::condition_variable cv_;
+  SpanTracer& tracer_;
   std::vector<std::function<void()>> bodies_;
   std::vector<State> states_;
   std::vector<bool> victim_;
-  std::vector<std::thread> threads_;
+  std::vector<std::size_t> slot_of_;
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::vector<std::size_t> free_slots_;
+  ucontext_t caller_ctx_{};
+  void* caller_fake_stack_ = nullptr;
+  /// The exception the caller of run() is handling, if any: fibers see it
+  /// as theirs too, so only a different one means a fiber is in a handler.
+  std::exception_ptr caller_exception_;
+  const void* caller_stack_bottom_ = nullptr;
+  std::size_t caller_stack_size_ = 0;
   StallHandler on_stall_;
+  /// Family holding the token (kNone between picks).
   std::size_t current_ = kNone;
+  /// Context executing right now (kNone = the caller of run()).
+  std::size_t running_ = kNone;
+  /// Context that made the latest switch.
+  std::size_t switched_from_ = kNone;
   std::size_t next_unstarted_ = 0;
-  std::size_t active_ = 0;
+  /// Started, unfinished families in index order (at most max_active).
+  std::vector<std::size_t> active_;
+  /// Scratch for schedule_next's runnable list.
+  std::vector<std::size_t> runnable_;
   std::size_t done_ = 0;
   Rng rng_{1};
-  std::atomic<bool> cancelled_{false};
+  bool cancelled_ = false;
   std::string failure_;
-
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 };
 
 }  // namespace lotec

@@ -2,22 +2,14 @@
 //
 // Every snapshot-isolated read-only family registers its start stamp here
 // for the duration of an attempt.  The registry publishes the OLDEST live
-// stamp through an atomic fence pointer that every node's PageStore shares
+// stamp through a fence pointer that every node's PageStore shares
 // (PageStore::configure_retention): version-ring GC may drop a retained
 // version only when the next-newer retained version already covers every
 // stamp at or below the fence, so a pinned version is never reclaimed.
-//
-// The fence is a plain relaxed-ordering publication: readers (ring trims)
-// only ever need a value that was current at some point at or before the
-// load — a stale-high fence delays GC, never breaks it, and a stale-low
-// fence cannot happen because stamps are removed only by the family that
-// registered them.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <mutex>
 
 #include "common/error.hpp"
 
@@ -27,42 +19,36 @@ class SnapshotRegistry {
  public:
   /// A stamp becomes live; the fence drops to it if it is now the oldest.
   void register_stamp(std::uint64_t stamp) {
-    std::lock_guard<std::mutex> lock(mu_);
     ++live_[stamp];
-    update_fence_locked();
+    update_fence();
   }
 
   /// The registering family finished (commit or retry) and releases its
   /// claim; the fence advances past the stamp once no one else shares it.
   void release_stamp(std::uint64_t stamp) {
-    std::lock_guard<std::mutex> lock(mu_);
     const auto it = live_.find(stamp);
     if (it == live_.end())
       throw UsageError("SnapshotRegistry: release of unregistered stamp");
     if (--it->second == 0) live_.erase(it);
-    update_fence_locked();
+    update_fence();
   }
 
   /// Oldest live stamp, or UINT64_MAX with no live snapshot (everything
   /// past the ring bound is then reclaimable).  Shared into PageStores.
-  [[nodiscard]] const std::atomic<std::uint64_t>* fence() const noexcept {
+  [[nodiscard]] const std::uint64_t* fence() const noexcept {
     return &fence_;
   }
 
-  [[nodiscard]] std::uint64_t oldest() const noexcept {
-    return fence_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] std::uint64_t oldest() const noexcept { return fence_; }
 
  private:
-  void update_fence_locked() {
-    fence_.store(live_.empty() ? ~std::uint64_t{0} : live_.begin()->first,
-                 std::memory_order_release);
+  void update_fence() {
+    fence_ = live_.empty() ? ~std::uint64_t{0} : live_.begin()->first;
   }
 
-  mutable std::mutex mu_;
   /// stamp -> live reader count (ordered: begin() is the oldest stamp).
   std::map<std::uint64_t, std::uint32_t> live_;
-  std::atomic<std::uint64_t> fence_{~std::uint64_t{0}};
+  std::uint64_t fence_ = ~std::uint64_t{0};
 };
 
 }  // namespace lotec

@@ -30,7 +30,6 @@ void check_object(Cluster& cluster, ObjectId id,
     bool owner_checked = false;
     for (std::size_t n = 0; n < cluster.num_nodes(); ++n) {
       Node& node = cluster.node(NodeId(static_cast<std::uint32_t>(n)));
-      std::lock_guard<std::mutex> lock(node.store_mu);
       const ObjectImage* img = node.store.find(id);
       if (img == nullptr) continue;
       if (img->has_page(page)) {
@@ -68,7 +67,6 @@ void check_object(Cluster& cluster, ObjectId id,
   // 4. Dirty bits clear at every site.
   for (std::size_t n = 0; n < cluster.num_nodes(); ++n) {
     Node& node = cluster.node(NodeId(static_cast<std::uint32_t>(n)));
-    std::lock_guard<std::mutex> lock(node.store_mu);
     const ObjectImage* img = node.store.find(id);
     if (img != nullptr && !img->dirty_pages().empty()) {
       std::ostringstream oss;
@@ -96,7 +94,6 @@ std::vector<std::string> validate_quiescent(Cluster& cluster) {
   // 5. No pins remain.
   for (std::size_t n = 0; n < cluster.num_nodes(); ++n) {
     Node& node = cluster.node(NodeId(static_cast<std::uint32_t>(n)));
-    std::lock_guard<std::mutex> lock(node.store_mu);
     if (!node.pins.empty()) {
       std::ostringstream oss;
       oss << "node " << n << " still pins " << node.pins.size()

@@ -3,7 +3,7 @@
 //
 // Per the paper's execution model, "individual transaction families execute
 // locally at a single site"; a Family object therefore lives on exactly one
-// node and is driven by one thread at a time.
+// node and is driven by one fiber.
 #pragma once
 
 #include <memory>

@@ -14,7 +14,7 @@
 //    descendant finishes.
 //
 // The table is confined to the family's execution site and is accessed only
-// by the family's (single) thread — no synchronization needed.
+// by the family's own fiber.
 #pragma once
 
 #include <optional>

@@ -10,7 +10,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
-#include <thread>
 #include <unistd.h>
 
 namespace lotec::wire {
@@ -46,7 +45,7 @@ Fd connect_retry(const std::function<Fd()>& attempt, Millis timeout,
       return attempt();
     } catch (const SocketError&) {
       if (std::chrono::steady_clock::now() + backoff >= deadline) throw;
-      std::this_thread::sleep_for(backoff);
+      ::poll(nullptr, 0, static_cast<int>(backoff.count()));  // sleep
       backoff = std::min(backoff * 2, Millis(50));
     }
   }

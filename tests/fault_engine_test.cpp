@@ -135,7 +135,6 @@ TEST_F(FaultEngineTest, TickTriggeredCrashFlipsReachabilityImmediately) {
 TEST_F(FaultEngineTest, CrashWipesStoreOnlyAtApplyPending) {
   {
     Node& victim = *nodes_[2];
-    std::lock_guard<std::mutex> lock(victim.store_mu);
     victim.store.create(ObjectId(7), 2, 256, /*materialize=*/true);
     victim.touch(ObjectId(7));
   }
@@ -146,12 +145,10 @@ TEST_F(FaultEngineTest, CrashWipesStoreOnlyAtApplyPending) {
     // Two-phase: unreachable already, memory still intact until the runtime
     // reaches a checkpoint.
     Node& victim = *nodes_[2];
-    std::lock_guard<std::mutex> lock(victim.store_mu);
     EXPECT_NE(victim.store.find(ObjectId(7)), nullptr);
   }
   engine_->apply_pending();
   Node& victim = *nodes_[2];
-  std::lock_guard<std::mutex> lock(victim.store_mu);
   EXPECT_EQ(victim.store.find(ObjectId(7)), nullptr);
   EXPECT_TRUE(victim.lru.empty());
 }

@@ -7,7 +7,6 @@
 // and knob-off wire bit-identity of the declared kind.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -235,7 +234,7 @@ TEST(MvReadTest, ReaderOverlappingCommittingWriterSeesPreCommitVersion) {
 // --- version-ring retention and GC fencing -------------------------------
 
 TEST(MvReadTest, RingGcNeverReclaimsAVersionUnderTheFence) {
-  std::atomic<std::uint64_t> fence{~std::uint64_t{0}};  // no live snapshots
+  std::uint64_t fence = ~std::uint64_t{0};  // no live snapshots
   ObjectImage img(ObjectId(7), /*num_pages=*/1, /*page_size=*/64);
   img.materialize_all();
   img.enable_retention(/*depth=*/2, &fence);
@@ -253,7 +252,7 @@ TEST(MvReadTest, RingGcNeverReclaimsAVersionUnderTheFence) {
   // A reader registers at stamp 3 (fence drops); versions keep advancing
   // far past the ring depth, yet the newest version with tick <= 3 must
   // stay resolvable for as long as the fence holds.
-  fence.store(3);
+  fence = 3;
   for (Lsn v = 4; v <= 12; ++v) commit(v, v);
   const auto pinned = img.snapshot_page(PageIndex(0), /*stamp=*/3);
   ASSERT_TRUE(pinned.has_value());
@@ -264,14 +263,14 @@ TEST(MvReadTest, RingGcNeverReclaimsAVersionUnderTheFence) {
   // The reader leaves; with the fence lifted the next commits trim the
   // ring back to its bound and the old version becomes unresolvable —
   // which in the runtime surfaces as a snapshot retry, never a wrong read.
-  fence.store(~std::uint64_t{0});
+  fence = ~std::uint64_t{0};
   for (Lsn v = 13; v <= 16; ++v) commit(v, v);
   EXPECT_LE(img.retained(PageIndex(0)).size(), 2u);
   EXPECT_FALSE(img.snapshot_page(PageIndex(0), /*stamp=*/3).has_value());
 }
 
 TEST(MvReadTest, AdoptedVersionsResolveAndDeduplicate) {
-  std::atomic<std::uint64_t> fence{1};
+  std::uint64_t fence = 1;
   ObjectImage img(ObjectId(9), 1, 64);
   img.enable_retention(4, &fence);
 
@@ -290,7 +289,7 @@ TEST(MvReadTest, AdoptedVersionsResolveAndDeduplicate) {
 
 TEST(MvReadTest, EvictionRefusedWhileSnapshotPinned) {
   PageStore store;
-  std::atomic<std::uint64_t> fence{~std::uint64_t{0}};
+  std::uint64_t fence = ~std::uint64_t{0};
   store.configure_retention(2, &fence);
   (void)store.create(ObjectId(1), 1, 64, /*materialize=*/true);
 

@@ -196,6 +196,47 @@ TEST_P(RuntimeSmokeTest, MutualRecursionIsPrecluded) {
                RecursiveInvocationError);
 }
 
+// Every family runs on a fixed-size fiber stack: a chain of a few hundred
+// nested invocations, with families preempted and blocked deep inside it,
+// must fit (no guard-page crash) and commit.
+TEST_P(RuntimeSmokeTest, DeepNestingChainCommits) {
+  constexpr std::uint64_t kDepth = 400;
+  constexpr int kFamilies = 4;
+  ClusterConfig cfg = small_config(GetParam());
+  Cluster cluster(cfg);
+  const ClassId link = cluster.define_class(
+      ClassBuilder("Link", cfg.page_size)
+          .attribute("visits", 8)
+          .method("descend", {"visits"}, {"visits"},
+                  [](MethodContext& ctx) {
+                    ctx.set<std::int64_t>(
+                        "visits", ctx.get<std::int64_t>("visits") + 1);
+                    const std::uint64_t next = ctx.target().value() + 1;
+                    if (next < kDepth) {
+                      ASSERT_TRUE(ctx.invoke(ObjectId(next), "descend"));
+                    }
+                  }));
+  for (std::uint64_t i = 0; i < kDepth; ++i)
+    ASSERT_EQ(cluster.create_object(link, NodeId(static_cast<std::uint32_t>(
+                                              i % cfg.nodes)))
+                  .value(),
+              i);
+
+  const MethodId descend = cluster.method_id(ObjectId(0), "descend");
+  std::vector<RootRequest> reqs;
+  for (int i = 0; i < kFamilies; ++i)
+    reqs.push_back(RootRequest{ObjectId(0), descend,
+                               NodeId(static_cast<std::uint32_t>(i)), {},
+                               nullptr});
+  for (const TxnResult& r : cluster.execute(std::move(reqs))) {
+    EXPECT_TRUE(r.committed);
+    EXPECT_EQ(r.txns_in_tree, kDepth);
+  }
+  EXPECT_EQ(cluster.peek<std::int64_t>(ObjectId(0), "visits"), kFamilies);
+  EXPECT_EQ(cluster.peek<std::int64_t>(ObjectId(kDepth - 1), "visits"),
+            kFamilies);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllProtocols, RuntimeSmokeTest,
                          ::testing::Values(ProtocolKind::kCotec,
                                            ProtocolKind::kOtec,

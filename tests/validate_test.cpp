@@ -137,14 +137,12 @@ TEST(ValidateTest2, DetectsArtificialViolations) {
   // Violation A: lingering dirty bit.
   {
     Node& n1 = cluster.node(NodeId(1));
-    std::lock_guard<std::mutex> lock(n1.store_mu);
     std::vector<std::byte> b{std::byte{9}};
     n1.store.get(obj).write_bytes(0, b);
   }
   EXPECT_FALSE(validate_quiescent(cluster).empty());
   {
     Node& n1 = cluster.node(NodeId(1));
-    std::lock_guard<std::mutex> lock(n1.store_mu);
     n1.store.get(obj).clear_dirty();
   }
   EXPECT_TRUE(validate_quiescent(cluster).empty());
@@ -152,7 +150,6 @@ TEST(ValidateTest2, DetectsArtificialViolations) {
   // Violation B: owner no longer resident.
   {
     Node& n1 = cluster.node(NodeId(1));
-    std::lock_guard<std::mutex> lock(n1.store_mu);
     n1.store.get(obj).evict_page(PageIndex(0));
   }
   EXPECT_FALSE(validate_quiescent(cluster).empty());

@@ -40,8 +40,14 @@
 // --flight-dump PREFIX arms the always-on flight recorder: every crash
 // event of iteration i dumps a Perfetto-loadable post-mortem to
 // PREFIX.<i>.json (CI uploads these when a soak fails).
+//
+// Exit codes: 0 every iteration clean, 1 an iteration failed, 2 usage
+// error (unknown flag, non-numeric count/seed/--only, extra argument).
 #include <algorithm>
-#include <cstring>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 
@@ -207,6 +213,33 @@ void constrain_for_wire(Draw& d) {
   d.cfg.mv_read = false;  // snapshot fetches are not wired yet
 }
 
+/// The whole of `text` as an unsigned integer, read like strtoull with
+/// base 0 (decimal, 0x hex); no sign, no surrounding space.
+bool parse_unsigned(const char* text, std::uint64_t& out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoull(text, &end, 0);
+  return *end == '\0' && errno == 0;
+}
+
+bool parse_int(const char* text, int& out) {
+  std::uint64_t v = 0;
+  if (!parse_unsigned(text, v) || v > static_cast<std::uint64_t>(INT_MAX))
+    return false;
+  out = static_cast<int>(v);
+  return true;
+}
+
+int usage(const std::string& why) {
+  std::cerr << "soak: " << why << "\n"
+            << "usage: soak [iterations=50] [base-seed=1] [--faults] "
+               "[--rebalance] [--only N]\n"
+               "            [--flight-dump PREFIX] [--transport=wire "
+               "[--socket-dir DIR]]\n";
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -216,27 +249,40 @@ int main(int argc, char** argv) {
   int only = -1;
   std::string flight_prefix;
   std::string socket_dir;
-  std::vector<const char*> positional;
+  int iterations = 50;
+  std::uint64_t base_seed = 1;
+  int positional = 0;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--faults") == 0)
+    const std::string arg = argv[i];
+    const bool has_value = i + 1 < argc;
+    if (arg == "--faults") {
       with_faults = true;
-    else if (std::strcmp(argv[i], "--rebalance") == 0)
+    } else if (arg == "--rebalance") {
       rebalance = true;
-    else if (std::strcmp(argv[i], "--transport=wire") == 0)
+    } else if (arg == "--transport=wire") {
       wire_transport = true;
-    else if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc)
-      only = std::atoi(argv[++i]);
-    else if (std::strcmp(argv[i], "--flight-dump") == 0 && i + 1 < argc)
+    } else if (arg == "--only" && has_value) {
+      if (!parse_int(argv[++i], only))
+        return usage("--only needs an iteration number, got '" +
+                     std::string(argv[i]) + "'");
+    } else if (arg == "--flight-dump" && has_value) {
       flight_prefix = argv[++i];
-    else if (std::strcmp(argv[i], "--socket-dir") == 0 && i + 1 < argc)
+    } else if (arg == "--socket-dir" && has_value) {
       socket_dir = argv[++i];
-    else
-      positional.push_back(argv[i]);
+    } else if (arg.rfind("-", 0) == 0) {
+      return usage("unknown flag or missing value: " + arg);
+    } else if (positional == 0) {
+      if (!parse_int(argv[i], iterations))
+        return usage("iterations must be a number, got '" + arg + "'");
+      ++positional;
+    } else if (positional == 1) {
+      if (!parse_unsigned(argv[i], base_seed))
+        return usage("base-seed must be a number, got '" + arg + "'");
+      ++positional;
+    } else {
+      return usage("unexpected argument '" + arg + "'");
+    }
   }
-  const int iterations =
-      positional.size() > 0 ? std::atoi(positional[0]) : 50;
-  const std::uint64_t base_seed =
-      positional.size() > 1 ? std::strtoull(positional[1], nullptr, 0) : 1;
   if (rebalance && wire_transport) {
     std::cerr << "soak: --rebalance cannot run on --transport=wire (shard "
                  "migration is in-process state; see ClusterConfig "

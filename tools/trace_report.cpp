@@ -24,6 +24,9 @@
 //   3  input file missing / unreadable
 //   4  input parsed but holds no events (empty trace)
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -46,6 +49,21 @@ constexpr int kMalformed = 1;
 constexpr int kUsage = 2;
 constexpr int kMissing = 3;
 constexpr int kEmpty = 4;
+
+/// The whole of `text` as a finite number >= 0.
+bool parse_number(const std::string& text, double& out) {
+  if (text.empty()) return false;
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return *end == '\0' && std::isfinite(out) && out >= 0.0;
+}
+
+/// The whole of `text` as a non-negative integer.
+bool parse_count(const std::string& text, std::size_t& out) {
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+  return !text.empty() && ec == std::errc() && ptr == last;
+}
 
 void print_critical_path(const CriticalPath& cp) {
   print_section("Critical path");
@@ -228,11 +246,19 @@ int main(int argc, char** argv) {
   double sw_cost_us = 20.0;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--top=", 0) == 0) top = std::stoull(arg.substr(6));
-    else if (arg.rfind("--bitrate=", 0) == 0) bitrate = std::stod(arg.substr(10));
-    else if (arg.rfind("--sw-cost=", 0) == 0) sw_cost_us = std::stod(arg.substr(10));
-    else {
+    bool ok = false;
+    if (arg.rfind("--top=", 0) == 0) {
+      ok = parse_count(arg.substr(6), top);
+    } else if (arg.rfind("--bitrate=", 0) == 0) {
+      ok = parse_number(arg.substr(10), bitrate) && bitrate > 0.0;
+    } else if (arg.rfind("--sw-cost=", 0) == 0) {
+      ok = parse_number(arg.substr(10), sw_cost_us);
+    } else {
       std::cerr << "unknown flag " << arg << "\n";
+      return kUsage;
+    }
+    if (!ok) {
+      std::cerr << "bad value in " << arg << "\n";
       return kUsage;
     }
   }
