@@ -62,7 +62,7 @@ int main() {
   ExperimentOptions off;
   off.record_trace = true;
   ExperimentOptions on = off;
-  on.trace_spans = true;
+  on.cluster.obs.trace_spans = true;
 
   print_section(
       "Observability ablation: traced vs untraced fig2 run (LOTEC)");
@@ -135,8 +135,8 @@ int main() {
   // end-of-run counter snapshot.
   print_section("Telemetry plane: timeseries collector on vs off");
   ExperimentOptions tson = off;
-  tson.timeseries = true;
-  tson.timeseries_interval = 128;
+  tson.cluster.obs.timeseries = true;
+  tson.cluster.obs.timeseries_interval = 128;
   const ScenarioResult tsrun =
       run_scenario(workload, ProtocolKind::kLotec, tson);
   if (plain.trace != tsrun.trace) {

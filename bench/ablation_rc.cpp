@@ -28,7 +28,7 @@ void run(const std::string& name, const WorkloadSpec& spec) {
   Table table({"Protocol", "Multicast", "Messages", "Bytes", "vs LOTEC bytes"});
   ExperimentOptions unicast;
   ExperimentOptions multicast;
-  multicast.multicast = true;
+  multicast.cluster.net.multicast_capable = true;
 
   const auto uni = run_protocol_suite(workload, protocols, unicast);
   const double lotec_bytes = static_cast<double>(uni[2].total.bytes);

@@ -34,8 +34,8 @@ inline void run_bytes_figure(const std::string& title,
   // bench artifact and for ad-hoc figure profiling.
   if (const char* spans = std::getenv("LOTEC_SPANS");
       spans != nullptr && *spans != '\0') {
-    experiment.trace_spans = true;
-    experiment.chrome_trace = spans;
+    experiment.cluster.obs.trace_spans = true;
+    experiment.cluster.obs.chrome_trace = spans;
   }
   const auto results = run_protocol_suite(
       workload,
@@ -50,8 +50,8 @@ inline void run_bytes_figure(const std::string& title,
             << spec.min_pages << "," << spec.max_pages << "]"
             << " txns=" << spec.num_transactions
             << " theta=" << spec.contention_theta
-            << " nodes=" << options.experiment.nodes
-            << " page_size=" << options.experiment.page_size << "\n"
+            << " nodes=" << options.experiment.cluster.nodes
+            << " page_size=" << options.experiment.cluster.page_size << "\n"
             << "committed: COTEC=" << cotec.committed
             << " OTEC=" << otec.committed << " LOTEC=" << lotec.committed
             << "  (of " << spec.num_transactions << ")\n\n";

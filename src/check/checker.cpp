@@ -11,7 +11,9 @@
 namespace lotec::check {
 
 ScheduleChecker::ScheduleChecker(CheckOptions opts)
-    : opts_(std::move(opts)), workload_(opts_.scenario.workload) {}
+    : opts_(std::move(opts)), workload_(opts_.scenario.workload) {
+  opts_.scenario.cluster.validate();
+}
 
 ScheduleOutcome ScheduleChecker::run_schedule(Strategy& strategy,
                                               const std::string& chrome_out) {
@@ -30,16 +32,7 @@ ScheduleOutcome ScheduleChecker::run_schedule(Strategy& strategy,
   fanout.add(&serializability);
   fanout.set_strategy(&strategy);
 
-  ClusterConfig cfg;
-  cfg.nodes = opts_.scenario.nodes;
-  cfg.protocol = opts_.protocol;
-  cfg.page_size = opts_.page_size;
-  cfg.seed = opts_.seed;
-  cfg.lock_cache = opts_.lock_cache;
-  cfg.lock_cache_capacity = opts_.lock_cache_capacity;
-  cfg.mv_read = opts_.scenario.mv_read;
-  cfg.net.batch_messages = opts_.batch_messages;
-  cfg.test_mutations.break_retention = opts_.break_retention;
+  ClusterConfig cfg = opts_.scenario.cluster;
   cfg.check_sink = &fanout;
   if (!chrome_out.empty()) {
     cfg.obs.trace_spans = true;
@@ -68,10 +61,9 @@ ScheduleOutcome ScheduleChecker::run_schedule(Strategy& strategy,
     // When this schedule is being dumped (counterexample replay), attach the
     // flight-recorder post-mortem next to the Chrome trace while the cluster
     // is still alive — the last N events per node of the violating run.
-    if (!chrome_out.empty()) {
-      if (FlightRecorder* rec = cluster.observe().flight_recorder())
-        (void)rec->dump_file(chrome_out + ".postmortem.json");
-    }
+    if (!chrome_out.empty())
+      (void)cluster.observe().flight_recorder()->dump_file(
+          chrome_out + ".postmortem.json");
     // Cluster destruction flushes the tracer (Chrome dump, when requested).
   } catch (const Error& e) {
     out.error = e.what();
@@ -178,14 +170,14 @@ void ScheduleChecker::verify_and_dump(CheckReport& report) {
 CheckReport ScheduleChecker::run() {
   CheckReport report;
 
+  const std::uint64_t seed = opts_.scenario.cluster.seed;
   std::unique_ptr<Strategy> strategy;
   switch (opts_.mode) {
     case ExploreMode::kRandom:
-      strategy = std::make_unique<RandomWalkStrategy>(opts_.seed);
+      strategy = std::make_unique<RandomWalkStrategy>(seed);
       break;
     case ExploreMode::kPct:
-      strategy =
-          std::make_unique<PctStrategy>(opts_.seed, opts_.pct_changepoints);
+      strategy = std::make_unique<PctStrategy>(seed, opts_.pct_changepoints);
       break;
     case ExploreMode::kDfs:
       strategy = std::make_unique<DfsStrategy>(opts_.dfs_max_depth);

@@ -28,19 +28,9 @@ namespace lotec::check {
 enum class ExploreMode : std::uint8_t { kRandom, kPct, kDfs };
 
 struct CheckOptions {
+  /// The workload and the cluster it runs on (scenario.cluster holds every
+  /// cluster knob, including the test_mutations the checker must catch).
   CheckScenario scenario = check_tiny();
-  ProtocolKind protocol = ProtocolKind::kLotec;
-  std::uint32_t page_size = 256;
-  std::uint64_t seed = 42;
-  bool lock_cache = false;
-  std::size_t lock_cache_capacity = 0;
-  /// Explore schedules with message batching on (NetworkConfig::
-  /// batch_messages).  Batching is physical-only, so the oracles must stay
-  /// green with the knob in either position.
-  bool batch_messages = false;
-  /// The hidden mutation switch (tests / demo): break Moss retention and
-  /// let the checker find the counterexample.
-  bool break_retention = false;
 
   ExploreMode mode = ExploreMode::kRandom;
   std::uint64_t max_schedules = 1000;
@@ -93,6 +83,8 @@ struct CheckReport {
 
 class ScheduleChecker {
  public:
+  /// Throws UsageError when opts.scenario.cluster fails
+  /// ClusterConfig::validate(), before any schedule runs.
   explicit ScheduleChecker(CheckOptions opts);
 
   /// Explore schedules per opts; on violation, minimize + verify.

@@ -13,20 +13,29 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "runtime/config.hpp"
 #include "workload/spec.hpp"
 
 namespace lotec::check {
 
 struct CheckScenario {
   std::string name;
-  std::size_t nodes = 2;
   WorkloadSpec workload;
   /// Share of families submitted as declared read-only (shadow reader
-  /// scripts).  With mv_read they take the snapshot path, and the extended
-  /// serializability oracle validates every snapshot read against the
-  /// commit-tick publication order.
+  /// scripts).  With cluster.mv_read they take the snapshot path, and the
+  /// extended serializability oracle validates every snapshot read against
+  /// the commit-tick publication order.
   double read_only_fraction = 0.0;
-  bool mv_read = false;
+  /// The cluster every explored schedule builds afresh.  Small pages keep
+  /// objects multi-page at checking scale; the seed also seeds the random
+  /// and PCT exploration strategies.
+  ClusterConfig cluster = [] {
+    ClusterConfig c;
+    c.nodes = 2;
+    c.page_size = 256;
+    c.seed = 42;
+    return c;
+  }();
 };
 
 /// "tiny": 6 families of depth <= 2 over 3 hot objects on 2 nodes, with a
@@ -34,7 +43,6 @@ struct CheckScenario {
 inline CheckScenario check_tiny() {
   CheckScenario s;
   s.name = "tiny";
-  s.nodes = 2;
   s.workload.num_objects = 3;
   s.workload.min_pages = 1;
   s.workload.max_pages = 2;
@@ -59,7 +67,7 @@ inline CheckScenario check_tiny() {
 inline CheckScenario check_small() {
   CheckScenario s;
   s.name = "small";
-  s.nodes = 3;
+  s.cluster.nodes = 3;
   s.workload.num_objects = 4;
   s.workload.min_pages = 1;
   s.workload.max_pages = 3;
@@ -88,7 +96,7 @@ inline CheckScenario check_mixed() {
   s.workload.num_transactions = 8;
   s.workload.seed = 31;
   s.read_only_fraction = 0.5;
-  s.mv_read = true;
+  s.cluster.mv_read = true;
   return s;
 }
 

@@ -957,7 +957,6 @@ void GdoService::grant_waiters(ObjectId id, GdoEntry& e, NodeId serving,
     e.caching_sites.insert(w.node);
     emit(std::move(g));
     e.waiters.pop_front();
-    if (!config_.grant_read_batches) break;
   }
 }
 

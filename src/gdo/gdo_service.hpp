@@ -58,11 +58,10 @@ struct RingConfig {
 };
 
 struct GdoConfig {
-  /// Mirror every entry on a second node and fail over to it.
+  /// Mirror every entry on a second node and fail over to it.  A cluster
+  /// switches it on itself when node faults or the elastic directory need
+  /// it (ClusterCore).
   bool replicate = false;
-  /// Grant a maximal batch of read waiters when the lock frees (classic
-  /// lock-manager behaviour; the paper's algorithm pops one family list).
-  bool grant_read_batches = true;
   /// If true, a read request is queued behind waiting writers even when the
   /// lock is currently read-held (writer fairness).  The paper's Algorithm
   /// 4.2 grants such reads immediately; that is the default.

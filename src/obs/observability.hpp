@@ -26,10 +26,6 @@ struct ObsConfig {
   /// When non-empty (and trace_spans), write Chrome trace-event JSON here
   /// on flush (open in Perfetto via `trace_report spans`).
   std::string chrome_trace;
-  /// Keep the always-on flight recorder (independent of trace_spans).
-  bool flight_recorder = true;
-  /// Ring capacity per node (events retained for the post-mortem).
-  std::size_t flight_recorder_capacity = 512;
   /// When non-empty, the fault engine dumps the recorder here on every
   /// node-crash event (second crash appends ".2", and so on).
   std::string flight_dump;
@@ -40,12 +36,14 @@ struct ObsConfig {
   /// Logical window length: close a window every this many transport
   /// messages.  0 = explicit close_window() only (wall-clock pacing).
   std::uint64_t timeseries_interval = 0;
-  /// Windows retained in the collector's ring.
-  std::size_t timeseries_retain = 256;
   /// When non-empty, stream one JSON line per closed window here (what
   /// `lotec_top --jsonl` tails).
   std::string timeseries_jsonl;
 };
+
+/// Flight-recorder ring capacity per node (events retained for the
+/// post-mortem).
+inline constexpr std::size_t kFlightRecorderCapacity = 512;
 
 struct Observability {
   MetricsRegistry metrics;
@@ -53,19 +51,15 @@ struct Observability {
   std::unique_ptr<FlightRecorder> recorder;
   std::unique_ptr<TimeseriesCollector> timeseries;
 
-  /// Apply config: attach the registry, create the flight recorder (needs
-  /// the cluster's node count) and enable/attach span sinks.
-  void configure(const ObsConfig& cfg, std::size_t nodes = 0) {
+  /// Apply config: attach the registry, create the flight recorder (one
+  /// ring per node) and enable/attach span sinks.
+  void configure(const ObsConfig& cfg, std::size_t nodes) {
     tracer.set_registry(&metrics);
-    if (cfg.flight_recorder && nodes > 0) {
-      recorder = std::make_unique<FlightRecorder>(
-          nodes, cfg.flight_recorder_capacity);
-      tracer.set_flight_recorder(recorder.get());
-    }
+    recorder = std::make_unique<FlightRecorder>(nodes, kFlightRecorderCapacity);
+    tracer.set_flight_recorder(recorder.get());
     if (cfg.timeseries) {
       TimeseriesConfig ts;
       ts.tick_interval = cfg.timeseries_interval;
-      ts.retain = cfg.timeseries_retain;
       ts.jsonl_path = cfg.timeseries_jsonl;
       timeseries = std::make_unique<TimeseriesCollector>(metrics, ts);
     }

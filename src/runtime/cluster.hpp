@@ -75,7 +75,7 @@ class ClusterObservation {
   [[nodiscard]] std::vector<MessageRecord> messages() const {
     return core_.obs.tracer.messages();
   }
-  /// The always-on flight recorder (null only when cfg.obs disabled it).
+  /// The always-on flight recorder (never null).
   [[nodiscard]] FlightRecorder* flight_recorder() noexcept {
     return core_.obs.recorder.get();
   }

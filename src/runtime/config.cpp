@@ -58,10 +58,6 @@ void ClusterConfig::validate() const {
     throw UsageError(
         "ClusterConfig: spans_jsonl/chrome_trace name span output files "
         "but trace_spans is off — set trace_spans = true to record spans");
-  if (fault.has_node_faults() && !gdo.replicate)
-    throw UsageError(
-        "ClusterConfig: node crash/restart faults require gdo.replicate "
-        "(directory state must survive its home node)");
   if (mv_read) {
     if (lock_cache)
       throw UsageError(
@@ -91,11 +87,6 @@ void ClusterConfig::validate() const {
         "which would mask per-message fault verdicts; run faults with "
         "batching off");
   if (gdo.ring.enabled) {
-    if (!gdo.replicate)
-      throw UsageError(
-          "ClusterConfig: the elastic directory (gdo.ring) requires "
-          "gdo.replicate — quorum mirror groups are built on the "
-          "replication machinery; enable gdo.replicate");
     if (nodes < 2)
       throw UsageError(
           "ClusterConfig: the elastic directory (gdo.ring) needs at least "

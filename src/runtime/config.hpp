@@ -49,7 +49,7 @@ struct ClusterConfig {
   GdoConfig gdo;
   NetworkConfig net;
   /// Deterministic fault injection (crashes, restarts, partitions, message
-  /// chaos).  Node faults require gdo.replicate so directory state
+  /// chaos).  Node faults switch gdo.replicate on so directory state
   /// survives its home.
   FaultConfig fault;
   /// Cross-process wire transport (src/wire): run one lotec_worker OS
@@ -65,10 +65,6 @@ struct ClusterConfig {
   std::size_t max_active_families = 16;
   /// Restart budget for deadlock victims.
   int max_retries = 50;
-  /// Reject method accesses outside the declared attribute sets (the
-  /// compiler's conservative analysis must cover every access; methods with
-  /// data-dependent accesses set MethodDef::may_access_undeclared).
-  bool strict_access_checks = true;
   /// Inter-family lock caching (callback locking): a site retains its
   /// global locks across family lifetimes and re-grants them locally with
   /// zero messages; conflicting remote requests revoke them via a callback

@@ -62,14 +62,25 @@ class FamilyRunner;
 // clang-format on
 LOTEC_DEFINE_STATS_STRUCT(CoreCounters, LOTEC_CORE_COUNTERS);
 
+/// `cfg` as a cluster runs it: node faults and the elastic directory both
+/// need a replicated directory (directory state must survive its home node;
+/// quorum mirror groups are built on the replication machinery), so either
+/// one switches gdo.replicate on.
+[[nodiscard]] inline ClusterConfig with_required_replication(
+    ClusterConfig cfg) {
+  if (cfg.fault.has_node_faults() || cfg.gdo.ring.enabled)
+    cfg.gdo.replicate = true;
+  return cfg;
+}
+
 struct ClusterCore {
   explicit ClusterCore(const ClusterConfig& cfg)
       // validate() before any member sees the config: an incoherent config
       // must produce its UsageError, not whatever a member ctor does with
       // nonsense values.
-      : config((cfg.validate(), cfg)),
+      : config(with_required_replication((cfg.validate(), cfg))),
         transport_owner(make_cluster_transport(cfg)),
-        transport(*transport_owner), gdo(transport, cfg.gdo, &obs.metrics),
+        transport(*transport_owner), gdo(transport, config.gdo, &obs.metrics),
         scheduler({.max_active = cfg.max_active_families,
                    .picker = cfg.schedule_picker},
                   obs.tracer) {

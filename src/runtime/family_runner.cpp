@@ -1409,8 +1409,7 @@ PageSet MethodContext::check_access(AttrId attr, bool write) const {
   const bool declared = write ? method_.writes.contains(attr)
                               : (method_.reads.contains(attr) ||
                                  method_.writes.contains(attr));
-  if (!declared && !method_.may_access_undeclared &&
-      runner_.core_.config.strict_access_checks) {
+  if (!declared && !method_.may_access_undeclared) {
     throw UsageError("method '" + method_.name + "' " +
                      (write ? "writes" : "reads") +
                      " undeclared attribute '" +

@@ -35,12 +35,12 @@ struct ScenarioResult {
   /// MetricsRegistry (sorted by name; zero-valued entries included).
   std::map<std::string, std::uint64_t> counters;
   /// Span-duration histograms by name ("span.<phase>"), populated only when
-  /// options.trace_spans was set.
+  /// options.cluster.obs.trace_spans was set.
   std::map<std::string, HistogramSnapshot> histograms;
-  /// All spans recorded during the run (empty unless options.trace_spans).
+  /// All spans recorded during the run (empty unless obs.trace_spans).
   std::vector<SpanRecord> spans;
   /// All messages observed at the Transport choke point with their causal
-  /// stamps (empty unless options.trace_spans) — the per-message-kind axis
+  /// stamps (empty unless obs.trace_spans) — the per-message-kind axis
   /// of analyze_critical_path.
   std::vector<MessageRecord> messages;
   // Transaction outcomes.
@@ -51,12 +51,14 @@ struct ScenarioResult {
   /// latency proxy the prefetch ablation reduces).
   double round_trips_p50 = 0;
   double round_trips_p95 = 0;
-  // Fault-injection accounting (zero unless options.fault enables the
+  // Fault-injection accounting (zero unless options.cluster.fault enables the
   // engine; fault_stats also reflects the install_hooks-only ablation).
   FaultStats fault_stats;
   /// Full message trace, recorded when options.record_trace is set (the
   /// fault ablation compares runs for byte-identical traffic).
   std::vector<TraceEvent> trace;
+  /// Messages the trace buffer had no room for.
+  std::uint64_t trace_dropped = 0;
 
   /// Value of a named registry counter; 0 when never registered.
   [[nodiscard]] std::uint64_t counter(const std::string& name) const {
@@ -71,102 +73,55 @@ struct ScenarioResult {
 };
 
 struct ExperimentOptions {
-  std::size_t nodes = 16;
-  std::uint32_t page_size = 4096;
-  std::uint64_t cluster_seed = 7;
-  std::size_t max_active_families = 16;
-  bool multicast = false;
-  /// Coalesce same-round directory traffic into batch frames (PROTOCOL.md
-  /// §13).  Physical-only: the logical per-kind ledgers every figure is
-  /// computed from are bit-identical either way.
-  bool batch_messages = false;
+  /// The cluster every run builds; run_scenario overrides only `protocol`.
+  /// The paper figures' setup differs from ClusterConfig's defaults in
+  /// three places: 16 sites, seed 7, and a 256-message timeseries window.
+  ClusterConfig cluster = [] {
+    ClusterConfig c;
+    c.nodes = 16;
+    c.seed = 7;
+    c.obs.timeseries_interval = 256;
+    return c;
+  }();
   bool prefetch_hints = false;  ///< Section 5.1 ablation: pre-acquire the
                                 ///< whole script's lock set at family start
-  UndoStrategy undo = UndoStrategy::kByteRange;
-  /// Per-node cache budget in pages (0 = unbounded).
-  std::size_t cache_capacity_pages = 0;
-  /// Inter-family lock caching (sticky global locks with callback
-  /// revocation).  Off for every paper figure; the locality ablation
-  /// toggles it.
-  bool lock_cache = false;
-  /// Cached global locks kept per site (0 = unbounded).
-  std::size_t lock_cache_capacity = 0;
   /// Site-locality knob (lock-cache ablation): when non-negative, each
   /// family executes at the designated hot site (node 0) with this
   /// probability and at a uniformly random site otherwise — i.e. the
   /// probability that consecutive acquires of an object originate at the
   /// same site, which is the axis callback locking trades on.  Negative
   /// (the default) keeps the cluster's round-robin placement.  The
-  /// assignment depends only on cluster_seed and the request list, never on
+  /// assignment depends only on cluster.seed and the request list, never on
   /// the protocol or the lock_cache flag, so paired runs see identical
   /// placements.
   double site_locality = -1.0;
-  /// Deterministic fault injection for this run (chaos benchmarks and the
-  /// zero-overhead ablation).  Node faults imply GDO replication.
-  FaultConfig fault;
   /// Record the full message trace into ScenarioResult::trace.
   bool record_trace = false;
-  /// Record per-family phase spans into ScenarioResult::spans (and the
-  /// span.<phase> histograms).  Off by default; a disabled run produces
-  /// bit-identical message traffic.
-  bool trace_spans = false;
-  /// Stream spans as JSON lines to this file (requires trace_spans).
-  std::string spans_jsonl;
-  /// Time-series telemetry plane (PROTOCOL.md §16): install the per-window
-  /// scrape collector.  Off for every paper figure; the ablation_obs bench
-  /// gates that an off run is bit-identical and an on run costs < 2% wall
-  /// clock.
-  bool timeseries = false;
-  /// Logical window length in transport messages (timeseries only).
-  std::uint64_t timeseries_interval = 256;
-  /// Stream one JSON line per closed window here (timeseries only).
-  std::string timeseries_jsonl;
-  /// Write Chrome trace-event JSON (Perfetto-loadable) to this file at the
-  /// end of the run (requires trace_spans).
-  std::string chrome_trace;
-  /// Dump the always-on flight recorder here on every node-crash event (the
-  /// post-mortem black box; works with or without trace_spans).
-  std::string flight_dump;
-  /// Run the cluster as real OS processes over sockets (src/wire): one
-  /// lotec_worker per node, every accounted message physically shipped and
-  /// ledger-cross-checked at batch end.  `wire.enabled` is the master
-  /// switch (lotec_sim --distributed N sets it along with nodes).
-  WireConfig wire;
   /// Share of families submitted as declared read-only (kReadOnly), their
   /// scripts remapped onto the generator's shadow reader methods.  Acts on
   /// requests; meaningful with or without mv_read (without it, read-only
   /// families take the ordinary lock path).
   double read_only_fraction = 0.0;
-  /// Multi-version snapshot reads (PROTOCOL.md §14): read-only families
-  /// resolve pages against a commit-tick snapshot, with zero lock traffic.
-  bool mv_read = false;
-  /// Committed versions retained per page for snapshot resolution.
-  std::size_t mv_version_ring = 4;
-  /// Elastic directory (PROTOCOL.md §15): consistent-hash placement with
-  /// online shard migration and quorum mirror groups.  `ring.enabled` is
-  /// the master switch (soak --rebalance sets it); off, the static
-  /// partition map and single mirror produce bit-identical traffic.
-  RingConfig ring;
   /// Test hook (knob-off bit-identity): after instantiation, demote every
   /// kReadOnly request back to kReadWrite.  With mv_read off the two runs
   /// must produce bit-identical wire traffic — the declared kind alone
   /// never touches the protocol.
   bool strip_family_kinds = false;
 
-  /// The ClusterConfig these options describe for `protocol`.  run_scenario
-  /// builds its cluster from exactly this (plus the request-level knobs —
-  /// site_locality, prefetch_hints, record_trace — which act on requests,
-  /// not the cluster).
-  [[nodiscard]] ClusterConfig to_cluster_config(ProtocolKind protocol) const;
-
-  /// Reject incoherent option combinations with an actionable UsageError.
-  /// Checks the experiment-level knobs, then delegates everything with a
-  /// ClusterConfig counterpart to ClusterConfig::validate() — the same
+  /// Reject incoherent option combinations with an actionable UsageError:
+  /// the request-level knobs here, then cluster.validate() — the same
   /// validation Cluster construction itself runs, so run_scenario and a
   /// directly-built Cluster reject identical configs with identical
   /// messages.  Called by run_scenario before any cluster is built.
   void validate() const;
 };
+
+/// The root requests run_scenario submits for `workload` on `cluster` (a
+/// cluster built from options.cluster): instantiated at the options' read
+/// fraction, then placed and prefetch-hinted per the request-level knobs.
+[[nodiscard]] std::vector<RootRequest> scenario_requests(
+    const Workload& workload, Cluster& cluster,
+    const ExperimentOptions& options);
 
 /// Run `workload` under `protocol` on a fresh cluster.
 [[nodiscard]] ScenarioResult run_scenario(const Workload& workload,

@@ -67,7 +67,7 @@ TEST(CheckExploreTest, BudgetStopsExploration) {
 TEST(CheckExploreTest, BreakRetentionYieldsVerifiedCounterexample) {
   CheckOptions opts;
   opts.scenario = check_tiny();
-  opts.break_retention = true;
+  opts.scenario.cluster.test_mutations.break_retention = true;
   opts.max_schedules = 5000;
   ScheduleChecker checker(opts);
   const CheckReport report = checker.run();
@@ -96,7 +96,7 @@ TEST(CheckExploreTest, BreakRetentionYieldsVerifiedCounterexample) {
 TEST(CheckExploreTest, MinimizationOnlyShrinksTheTrace) {
   CheckOptions opts;
   opts.scenario = check_tiny();
-  opts.break_retention = true;
+  opts.scenario.cluster.test_mutations.break_retention = true;
   opts.max_schedules = 5000;
   opts.minimize = false;
   const CheckReport unminimized = ScheduleChecker(opts).run();
@@ -116,7 +116,7 @@ TEST(CheckExploreTest, MutationIsAlsoCaughtUnderDfs) {
   opts.scenario = check_tiny();
   opts.mode = ExploreMode::kDfs;
   opts.dfs_max_depth = 8;
-  opts.break_retention = true;
+  opts.scenario.cluster.test_mutations.break_retention = true;
   opts.max_schedules = 5000;
   const CheckReport report = ScheduleChecker(opts).run();
   ASSERT_TRUE(report.violation.has_value()) << report.summary();
@@ -132,10 +132,7 @@ TEST(CheckExploreTest, PassiveSinkLeavesTrafficBitIdentical) {
   const Workload workload(scenario.workload);
 
   auto run = [&](CheckSink* sink) {
-    ClusterConfig cfg;
-    cfg.nodes = scenario.nodes;
-    cfg.page_size = 256;
-    cfg.seed = 42;
+    ClusterConfig cfg = scenario.cluster;
     cfg.check_sink = sink;
     Cluster cluster(cfg);
     (void)cluster.execute(workload.instantiate(cluster));

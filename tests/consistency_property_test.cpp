@@ -75,8 +75,8 @@ TEST_P(CrossProtocolTest, AllProtocolsReachTheSameFinalState) {
 TEST_P(CrossProtocolTest, ByteOrderingHolds) {
   const Workload workload(property_spec(GetParam()));
   ExperimentOptions options;
-  options.nodes = 4;
-  options.page_size = 256;
+  options.cluster.nodes = 4;
+  options.cluster.page_size = 256;
   const auto results = run_protocol_suite(
       workload,
       {ProtocolKind::kCotec, ProtocolKind::kOtec, ProtocolKind::kLotec},
@@ -104,8 +104,8 @@ TEST_P(CrossProtocolTest, ByteOrderingHolds) {
 TEST_P(CrossProtocolTest, PageDataOrderingHoldsPerObject) {
   const Workload workload(property_spec(GetParam()));
   ExperimentOptions options;
-  options.nodes = 4;
-  options.page_size = 256;
+  options.cluster.nodes = 4;
+  options.cluster.page_size = 256;
   const auto results = run_protocol_suite(
       workload,
       {ProtocolKind::kCotec, ProtocolKind::kOtec, ProtocolKind::kLotec},
@@ -131,8 +131,8 @@ TEST_P(CrossProtocolTest, PageDataOrderingHoldsPerObject) {
 TEST_P(CrossProtocolTest, DeterministicRunsAreBitIdentical) {
   const Workload workload(property_spec(GetParam()));
   ExperimentOptions options;
-  options.nodes = 4;
-  options.page_size = 256;
+  options.cluster.nodes = 4;
+  options.cluster.page_size = 256;
   const ScenarioResult a =
       run_scenario(workload, ProtocolKind::kLotec, options);
   const ScenarioResult b =

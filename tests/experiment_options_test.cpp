@@ -32,24 +32,24 @@ TEST(ExperimentOptionsTest, DefaultsValidate) {
 
 TEST(ExperimentOptionsTest, RejectsEmptyCluster) {
   ExperimentOptions options;
-  options.nodes = 0;
+  options.cluster.nodes = 0;
   expect_rejected(options, {"nodes"});
 
   options = {};
-  options.page_size = 0;
+  options.cluster.page_size = 0;
   expect_rejected(options, {"page_size"});
 
   options = {};
-  options.max_active_families = 0;
+  options.cluster.max_active_families = 0;
   expect_rejected(options, {"max_active_families"});
 }
 
 TEST(ExperimentOptionsTest, RejectsLockCacheCapacityWithoutLockCache) {
   ExperimentOptions options;
-  options.lock_cache_capacity = 8;
+  options.cluster.lock_cache_capacity = 8;
   expect_rejected(options, {"lock_cache_capacity", "enable lock_cache"});
 
-  options.lock_cache = true;
+  options.cluster.lock_cache = true;
   EXPECT_NO_THROW(options.validate());
 }
 
@@ -69,46 +69,46 @@ TEST(ExperimentOptionsTest, RejectsSiteLocalityOutsideUnitRange) {
 
 TEST(ExperimentOptionsTest, RejectsFaultProbabilitiesOutsideUnitRange) {
   ExperimentOptions options;
-  options.fault.drop_probability = 1.5;
+  options.cluster.fault.drop_probability = 1.5;
   expect_rejected(options, {"drop_probability", "[0, 1]"});
 
   options = {};
-  options.fault.duplicate_probability = -0.1;
+  options.cluster.fault.duplicate_probability = -0.1;
   expect_rejected(options, {"duplicate_probability"});
 
   options = {};
-  options.fault.delay_probability = 2.0;
+  options.cluster.fault.delay_probability = 2.0;
   expect_rejected(options, {"delay_probability"});
 }
 
 TEST(ExperimentOptionsTest, RejectsFaultsAgainstNonexistentNodes) {
   // Crash targeting a node outside the cluster.
   ExperimentOptions options;
-  options.nodes = 4;
+  options.cluster.nodes = 4;
   FaultEvent crash;
   crash.action = FaultAction::kCrashNode;
   crash.at_tick = 10;
   crash.node = NodeId(7);
-  options.fault.events.push_back(crash);
+  options.cluster.fault.events.push_back(crash);
   expect_rejected(options, {"node 7", "no such node"});
 
   // Crash with no target node at all.
-  options.fault.events[0].node = NodeId{};
+  options.cluster.fault.events[0].node = NodeId{};
   expect_rejected(options, {"no such node"});
 
   // A valid target passes.
-  options.fault.events[0].node = NodeId(3);
+  options.cluster.fault.events[0].node = NodeId(3);
   EXPECT_NO_THROW(options.validate());
 
   // Partition naming a node outside the cluster.
   options = {};
-  options.nodes = 4;
+  options.cluster.nodes = 4;
   FaultEvent part;
   part.action = FaultAction::kPartitionStart;
   part.at_tick = 10;
   part.group_a = {NodeId(0), NodeId(9)};
   part.group_b = {NodeId(1)};
-  options.fault.events.push_back(part);
+  options.cluster.fault.events.push_back(part);
   expect_rejected(options, {"partitions node 9"});
 }
 
@@ -116,25 +116,25 @@ TEST(ExperimentOptionsTest, MessageTargetedFaultsNeedNoFixedNode) {
   // kMessageSrc/kMessageDst crashes resolve their node at fire time — the
   // fixed-node check must not reject them.
   ExperimentOptions options;
-  options.nodes = 4;
+  options.cluster.nodes = 4;
   FaultEvent crash;
   crash.action = FaultAction::kCrashNode;
   crash.on_kind = MessageKind::kLockAcquireRequest;
   crash.target = FaultTarget::kMessageDst;
-  options.fault.events.push_back(crash);
+  options.cluster.fault.events.push_back(crash);
   EXPECT_NO_THROW(options.validate());
 }
 
 TEST(ExperimentOptionsTest, RejectsSpanFilesWithoutTracing) {
   ExperimentOptions options;
-  options.spans_jsonl = "spans.jsonl";
+  options.cluster.obs.spans_jsonl = "spans.jsonl";
   expect_rejected(options, {"trace_spans"});
 
   options = {};
-  options.chrome_trace = "trace.json";
+  options.cluster.obs.chrome_trace = "trace.json";
   expect_rejected(options, {"trace_spans"});
 
-  options.trace_spans = true;
+  options.cluster.obs.trace_spans = true;
   EXPECT_NO_THROW(options.validate());
 }
 
@@ -148,44 +148,49 @@ TEST(ExperimentOptionsTest, RunScenarioValidatesBeforeBuildingACluster) {
                UsageError);
 }
 
-TEST(ExperimentOptionsTest, ToClusterConfigCarriesEveryKnob) {
+// run_scenario builds its cluster from options.cluster with only the
+// protocol replaced, so a run through the harness and a direct run of the
+// same cluster and requests move identical traffic.
+TEST(ExperimentOptionsTest, RunScenarioRunsTheOptionsClusterUnderItsProtocol) {
+  WorkloadSpec spec = scenarios::medium_high_contention();
+  spec.num_transactions = 20;
+  const Workload workload(spec);
   ExperimentOptions options;
-  options.nodes = 7;
-  options.page_size = 512;
-  options.cluster_seed = 99;
-  options.max_active_families = 3;
-  options.multicast = true;
-  options.undo = UndoStrategy::kShadowPage;
-  options.cache_capacity_pages = 11;
-  options.lock_cache = true;
-  options.lock_cache_capacity = 5;
-  options.trace_spans = true;
-  options.spans_jsonl = "spans.jsonl";
-  const ClusterConfig cfg = options.to_cluster_config(ProtocolKind::kRc);
-  EXPECT_EQ(cfg.nodes, 7u);
-  EXPECT_EQ(cfg.protocol, ProtocolKind::kRc);
-  EXPECT_EQ(cfg.page_size, 512u);
-  EXPECT_EQ(cfg.seed, 99u);
-  EXPECT_EQ(cfg.max_active_families, 3u);
-  EXPECT_TRUE(cfg.net.multicast_capable);
-  EXPECT_EQ(cfg.undo, UndoStrategy::kShadowPage);
-  EXPECT_EQ(cfg.cache_capacity_pages, 11u);
-  EXPECT_TRUE(cfg.lock_cache);
-  EXPECT_EQ(cfg.lock_cache_capacity, 5u);
-  EXPECT_TRUE(cfg.obs.trace_spans);
-  EXPECT_EQ(cfg.obs.spans_jsonl, "spans.jsonl");
+  options.cluster.nodes = 7;
+  options.cluster.page_size = 512;
+  options.cluster.seed = 99;
+  options.cluster.max_active_families = 3;
+  options.cluster.net.multicast_capable = true;
+  options.cluster.undo = UndoStrategy::kShadowPage;
+  options.cluster.cache_capacity_pages = 11;
+  options.cluster.lock_cache = true;
+  options.cluster.lock_cache_capacity = 5;
+  options.cluster.protocol = ProtocolKind::kCotec;  // replaced by the run's
+  options.site_locality = 0.5;
+  const ScenarioResult r = run_scenario(workload, ProtocolKind::kRc, options);
+  EXPECT_EQ(r.protocol, ProtocolKind::kRc);
+
+  ClusterConfig cfg = options.cluster;
+  cfg.protocol = ProtocolKind::kRc;
+  Cluster cluster(cfg);
+  (void)cluster.execute(scenario_requests(workload, cluster, options));
+  EXPECT_EQ(cluster.stats().total().messages, r.total.messages);
+  EXPECT_EQ(cluster.stats().total().bytes, r.total.bytes);
 }
 
+// Node faults need a replicated directory; the cluster switches it on
+// itself, so neither the options nor the config has to ask for it.
 TEST(ExperimentOptionsTest, NodeFaultsImplyGdoReplication) {
   ExperimentOptions options;
   FaultEvent crash;
   crash.action = FaultAction::kCrashNode;
   crash.at_tick = 10;
   crash.node = NodeId(1);
-  options.fault.events.push_back(crash);
-  EXPECT_TRUE(
-      options.to_cluster_config(ProtocolKind::kLotec).gdo.replicate);
+  options.cluster.fault.events.push_back(crash);
+  EXPECT_FALSE(options.cluster.gdo.replicate);
   EXPECT_NO_THROW(options.validate());
+  const Cluster cluster(options.cluster);
+  EXPECT_TRUE(cluster.config().gdo.replicate);
 }
 
 // The previously missing test: a directly-constructed Cluster rejects the
@@ -249,43 +254,43 @@ TEST(ExperimentOptionsTest, ClusterConstructionValidates) {
 
 TEST(ExperimentOptionsTest, WireDefaultsValidate) {
   ExperimentOptions options;
-  options.wire.enabled = true;
+  options.cluster.wire.enabled = true;
   EXPECT_NO_THROW(options.validate());
 }
 
 TEST(ExperimentOptionsTest, RejectsWireWithMessageChaos) {
   ExperimentOptions options;
-  options.wire.enabled = true;
-  options.fault.drop_probability = 0.01;
+  options.cluster.wire.enabled = true;
+  options.cluster.fault.drop_probability = 0.01;
   expect_rejected(options, {"--distributed", "crash/restart"});
 
-  options.fault.drop_probability = 0.0;
-  options.fault.duplicate_probability = 0.5;
+  options.cluster.fault.drop_probability = 0.0;
+  options.cluster.fault.duplicate_probability = 0.5;
   expect_rejected(options, {"--distributed"});
 
-  options.fault.duplicate_probability = 0.0;
-  options.fault.delay_probability = 0.2;
+  options.cluster.fault.duplicate_probability = 0.0;
+  options.cluster.fault.delay_probability = 0.2;
   expect_rejected(options, {"--distributed"});
 }
 
 TEST(ExperimentOptionsTest, RejectsWireWithDropMessageEvents) {
   ExperimentOptions options;
-  options.wire.enabled = true;
+  options.cluster.wire.enabled = true;
   FaultEvent drop;
   drop.action = FaultAction::kDropMessage;
   drop.on_kind = MessageKind::kLockAcquireRequest;
-  options.fault.events.push_back(drop);
+  options.cluster.fault.events.push_back(drop);
   expect_rejected(options, {"--distributed", "event #0"});
 
   // Crash/restart events stay legal: they map onto real worker kills.
   options = {};
-  options.wire.enabled = true;
-  options.nodes = 4;
+  options.cluster.wire.enabled = true;
+  options.cluster.nodes = 4;
   FaultEvent crash;
   crash.action = FaultAction::kCrashNode;
   crash.at_tick = 10;
   crash.node = NodeId(1);
-  options.fault.events.push_back(crash);
+  options.cluster.fault.events.push_back(crash);
   EXPECT_NO_THROW(options.validate());
 }
 

@@ -334,12 +334,14 @@ TEST_F(FaultEngineTest, DeadIncarnationWaiterPurgedBeforeGrant) {
 
 // --- cluster construction guards -------------------------------------------
 
+// Directory state must survive its home node, so a cluster with node
+// faults replicates the directory whether or not the config asked for it.
 TEST(FaultConfigGuards, NodeFaultsRequireGdoReplication) {
   ClusterConfig cfg;
   cfg.fault = fault_presets::crash_restart(NodeId(1), 10, 20);
-  EXPECT_THROW(Cluster cluster(cfg), UsageError);
-  cfg.gdo.replicate = true;
-  EXPECT_NO_THROW(Cluster cluster(cfg));
+  ASSERT_FALSE(cfg.gdo.replicate);
+  const Cluster cluster(cfg);
+  EXPECT_TRUE(cluster.config().gdo.replicate);
 }
 
 }  // namespace

@@ -27,8 +27,7 @@ struct ModelWaiter {
 /// Reference implementation of one object's lock.
 class ModelLock {
  public:
-  ModelLock(bool fair_readers, bool batch_grants)
-      : fair_readers_(fair_readers), batch_grants_(batch_grants) {}
+  explicit ModelLock(bool fair_readers) : fair_readers_(fair_readers) {}
 
   /// Returns granted families in grant order (possibly several for read
   /// batches; empty if the request queued).
@@ -126,27 +125,27 @@ class ModelLock {
       holders_[w.family] = LockMode::kRead;
       granted.push_back(w.family);
       queue_.pop_front();
-      if (!batch_grants_) break;  // single-grant mode pops one family
     }
     return granted;
   }
 
   bool fair_readers_;
-  bool batch_grants_;
   std::map<std::uint64_t, LockMode> holders_;
   std::deque<ModelWaiter> queue_;
 };
 
+/// (seed, fair_readers, read-batch grants).  The third value is always
+/// true: a maximal read batch is the only grant policy GdoService has.
 class GdoModelTest
     : public ::testing::TestWithParam<std::tuple<std::uint64_t, bool, bool>> {
 };
 
 TEST_P(GdoModelTest, RandomOpsMatchReferenceModel) {
-  const auto [seed, fair_readers, batch_grants] = GetParam();
+  const std::uint64_t seed = std::get<0>(GetParam());
+  const bool fair_readers = std::get<1>(GetParam());
   Transport transport(4);
   GdoConfig config;
   config.fair_readers = fair_readers;
-  config.grant_read_batches = batch_grants;
   GdoService gdo(transport, config);
   const ObjectId obj(1);
   gdo.register_object(obj, 2, NodeId(0));
@@ -155,7 +154,7 @@ TEST_P(GdoModelTest, RandomOpsMatchReferenceModel) {
   gdo.set_grant_delivery(
       [&](const Grant& g) { grant_events.push_back(g.family.value()); });
 
-  ModelLock model(fair_readers, batch_grants);
+  ModelLock model(fair_readers);
   Rng rng(seed);
   constexpr std::uint64_t kFamilies = 6;
   // Each family's serial counter (GDO wants distinct txn ids per request).
@@ -221,11 +220,10 @@ TEST_P(GdoModelTest, RandomOpsMatchReferenceModel) {
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndConfigs, GdoModelTest,
     ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool(), ::testing::Values(true)),
     [](const auto& info) {
       return "s" + std::to_string(std::get<0>(info.param)) +
-             (std::get<1>(info.param) ? "_fair" : "_paper") +
-             (std::get<2>(info.param) ? "_batch" : "_single");
+             (std::get<1>(info.param) ? "_fair" : "_paper") + "_batch";
     });
 
 }  // namespace

@@ -109,18 +109,6 @@ TEST_F(GdoServiceTest, ReleaseGrantsReadBatch) {
   EXPECT_EQ(e.waiters.size(), 1u);  // writer still queued
 }
 
-TEST_F(GdoServiceTest, SingleGrantModePopsOneFamily) {
-  Transport transport(4);
-  GdoService gdo(transport, GdoConfig{.grant_read_batches = false});
-  gdo.register_object(obj_, 4, NodeId(0));
-  (void)gdo.acquire(obj_, txn(1), NodeId(1), LockMode::kWrite);
-  (void)gdo.acquire(obj_, txn(2), NodeId(2), LockMode::kRead);
-  (void)gdo.acquire(obj_, txn(3), NodeId(3), LockMode::kRead);
-  const ReleaseResult r =
-      gdo.release_family(obj_, FamilyId(1), NodeId(1), nullptr);
-  EXPECT_EQ(r.wakeups.size(), 1u);  // paper's algorithm pops one list
-}
-
 TEST_F(GdoServiceTest, UpgradeGrantedWhenSoleReader) {
   (void)gdo_.acquire(obj_, txn(1, 0), NodeId(1), LockMode::kRead);
   const AcquireResult r =

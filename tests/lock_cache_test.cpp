@@ -181,11 +181,11 @@ TEST(LockCacheTest, DisabledKnobsAreInertOnTheWire) {
   const Workload workload(spec);
 
   ExperimentOptions base;
-  base.nodes = 8;
+  base.cluster.nodes = 8;
   base.record_trace = true;
   ExperimentOptions knobs = base;
-  knobs.lock_cache = false;
-  knobs.lock_cache_capacity = 0;
+  knobs.cluster.lock_cache = false;
+  knobs.cluster.lock_cache_capacity = 0;
 
   const ScenarioResult a = run_scenario(workload, ProtocolKind::kLotec, base);
   const ScenarioResult b = run_scenario(workload, ProtocolKind::kLotec, knobs);
@@ -198,7 +198,7 @@ TEST(LockCacheTest, DisabledKnobsAreInertOnTheWire) {
 
   // The previously inert combination is now a configuration error.
   ExperimentOptions bad = base;
-  bad.lock_cache_capacity = 4;
+  bad.cluster.lock_cache_capacity = 4;
   EXPECT_THROW(bad.validate(), UsageError);
 }
 
@@ -238,13 +238,13 @@ TEST(LockCacheTest, HotSiteWorkloadCutsLockTraffic) {
   const Workload workload(spec);
 
   ExperimentOptions options;
-  options.nodes = 8;
-  options.max_active_families = 1;
+  options.cluster.nodes = 8;
+  options.cluster.max_active_families = 1;
   options.site_locality = 1.0;
 
   const ScenarioResult off =
       run_scenario(workload, ProtocolKind::kLotec, options);
-  options.lock_cache = true;
+  options.cluster.lock_cache = true;
   const ScenarioResult on =
       run_scenario(workload, ProtocolKind::kLotec, options);
 

@@ -201,7 +201,7 @@ TEST(MvReadTest, ReaderOverlappingCommittingWriterSeesPreCommitVersion) {
   for (std::uint64_t seed = 1; seed <= 64 && !witnessed; ++seed) {
     SnapshotReadRecorder recorder;
     ClusterConfig cfg;
-    cfg.nodes = scenario.nodes;
+    cfg.nodes = scenario.cluster.nodes;
     cfg.page_size = 256;
     cfg.mv_read = true;
     cfg.check_sink = &recorder;
@@ -328,7 +328,7 @@ TEST(MvReadTest, MixedExplorationFindsNoViolations) {
   opts.scenario = check::check_mixed();
   opts.mode = check::ExploreMode::kRandom;
   opts.max_schedules = 150;
-  opts.seed = 2026;
+  opts.scenario.cluster.seed = 2026;
   const check::CheckReport report = check::ScheduleChecker(opts).run();
   EXPECT_EQ(report.schedules_run, 150u);
   EXPECT_EQ(report.schedules_with_errors, 0u);
@@ -347,7 +347,7 @@ TEST(MvReadTest, DeclaredKindAloneIsInertOnTheWire) {
   const Workload workload(spec);
 
   ExperimentOptions base;
-  base.nodes = 8;
+  base.cluster.nodes = 8;
   base.record_trace = true;
   base.read_only_fraction = 0.5;
   ExperimentOptions stripped = base;
@@ -375,13 +375,13 @@ TEST(MvReadTest, SnapshotPathShedsTrafficOnAReadHeavyMix) {
   const Workload workload(spec);
 
   ExperimentOptions options;
-  options.nodes = 8;
-  options.max_active_families = 1;
+  options.cluster.nodes = 8;
+  options.cluster.max_active_families = 1;
   options.site_locality = 0.9;
   options.read_only_fraction = 0.9;
   const ScenarioResult off =
       run_scenario(workload, ProtocolKind::kLotec, options);
-  options.mv_read = true;
+  options.cluster.mv_read = true;
   const ScenarioResult on =
       run_scenario(workload, ProtocolKind::kLotec, options);
 

@@ -28,8 +28,8 @@ ScenarioResult traced_fig2() {
   spec.num_transactions = 60;
   const Workload workload(spec);
   ExperimentOptions options;
-  options.nodes = 8;
-  options.trace_spans = true;
+  options.cluster.nodes = 8;
+  options.cluster.obs.trace_spans = true;
   return run_scenario(workload, ProtocolKind::kLotec, options);
 }
 

@@ -144,9 +144,9 @@ TEST(RuntimeExtrasTest, MulticastOnlyAffectsRcPushTraffic) {
     spec.seed = 81;
     const Workload workload(spec);
     ExperimentOptions options;
-    options.nodes = 4;
-    options.page_size = 256;
-    options.multicast = multicast;
+    options.cluster.nodes = 4;
+    options.cluster.page_size = 256;
+    options.cluster.net.multicast_capable = multicast;
     return run_scenario(workload, protocol, options).total.bytes;
   };
   // Entry-consistency protocols never push one-to-many: multicast is moot.

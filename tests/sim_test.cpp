@@ -69,8 +69,8 @@ TEST(ExperimentTest, ScenarioResultIsComplete) {
   spec.seed = 13;
   const Workload workload(spec);
   ExperimentOptions options;
-  options.nodes = 4;
-  options.page_size = 512;
+  options.cluster.nodes = 4;
+  options.cluster.page_size = 512;
   const ScenarioResult r =
       run_scenario(workload, ProtocolKind::kOtec, options);
   EXPECT_EQ(r.protocol, ProtocolKind::kOtec);
@@ -93,8 +93,8 @@ TEST(ExperimentTest, SuiteRunsProtocolsIndependently) {
   spec.seed = 14;
   const Workload workload(spec);
   ExperimentOptions options;
-  options.nodes = 4;
-  options.page_size = 512;
+  options.cluster.nodes = 4;
+  options.cluster.page_size = 512;
   const auto results = run_protocol_suite(
       workload, {ProtocolKind::kCotec, ProtocolKind::kLotec}, options);
   ASSERT_EQ(results.size(), 2u);
@@ -113,8 +113,8 @@ TEST(ExperimentTest, PrefetchOptionReducesRoundTrips) {
   spec.seed = 15;
   const Workload workload(spec);
   ExperimentOptions plain;
-  plain.nodes = 4;
-  plain.page_size = 512;
+  plain.cluster.nodes = 4;
+  plain.cluster.page_size = 512;
   ExperimentOptions hinted = plain;
   hinted.prefetch_hints = true;
   const ScenarioResult without =

@@ -395,8 +395,8 @@ TEST(TailAttributionTest, BucketsSumToSojournOnADeterministicRun) {
   spec.num_transactions = 60;
   const Workload workload(spec);
   ExperimentOptions options;
-  options.nodes = 8;
-  options.trace_spans = true;
+  options.cluster.nodes = 8;
+  options.cluster.obs.trace_spans = true;
   const ScenarioResult r =
       run_scenario(workload, ProtocolKind::kLotec, options);
   ASSERT_FALSE(r.spans.empty());

@@ -173,13 +173,15 @@ std::string rejection_of(const ClusterConfig& cfg) {
 ClusterConfig ring_cfg() {
   ClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.gdo.replicate = true;
   cfg.gdo.ring.enabled = true;
   return cfg;
 }
 
 TEST(RingValidationTest, AcceptsAWellFormedRingConfig) {
   EXPECT_NO_THROW(ring_cfg().validate());
+  // Quorum mirror groups are built on replication; the cluster turns it on.
+  const Cluster cluster(ring_cfg());
+  EXPECT_TRUE(cluster.config().gdo.replicate);
 }
 
 TEST(RingValidationTest, RejectsIncompatibleKnobs) {
@@ -194,10 +196,6 @@ TEST(RingValidationTest, RejectsIncompatibleKnobs) {
   cfg = ring_cfg();
   cfg.lock_cache = true;
   EXPECT_NE(rejection_of(cfg).find("lock_cache"), std::string::npos);
-
-  cfg = ring_cfg();
-  cfg.gdo.replicate = false;
-  EXPECT_NE(rejection_of(cfg).find("gdo.replicate"), std::string::npos);
 }
 
 TEST(RingValidationTest, RejectsDegenerateRingShapes) {
@@ -232,22 +230,22 @@ TEST(RingValidationTest, RejectsRingFaultEventsWithoutTheRing) {
 }
 
 TEST(RingValidationTest, ExperimentOptionsRunTheSameChecks) {
-  // The sim-side options funnel through to_cluster_config().validate(), so
-  // a tool passing --rebalance plus an incompatible flag dies identically.
+  // The sim-side options funnel through cluster.validate(), so a tool
+  // passing --rebalance plus an incompatible flag dies identically.
   ExperimentOptions opt;
-  opt.nodes = 4;
-  opt.ring.enabled = true;  // options path force-enables gdo.replicate
+  opt.cluster.nodes = 4;
+  opt.cluster.gdo.ring.enabled = true;
   EXPECT_NO_THROW(opt.validate());
 
-  opt.mv_read = true;
+  opt.cluster.mv_read = true;
   EXPECT_THROW(opt.validate(), UsageError);
-  opt.mv_read = false;
+  opt.cluster.mv_read = false;
 
-  opt.wire.enabled = true;
+  opt.cluster.wire.enabled = true;
   EXPECT_THROW(opt.validate(), UsageError);
-  opt.wire.enabled = false;
+  opt.cluster.wire.enabled = false;
 
-  opt.lock_cache = true;
+  opt.cluster.lock_cache = true;
   EXPECT_THROW(opt.validate(), UsageError);
 }
 

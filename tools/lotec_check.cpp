@@ -79,18 +79,20 @@ bool parse_one(Args& args, const std::string& arg) {
   const std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
   const auto u = [&] { return std::stoull(val); };
 
+  ClusterConfig& cluster = args.opts.scenario.cluster;
+
   if (key == "--mode") args.opts.mode = parse_mode(val);
-  else if (key == "--scenario") args.opts.scenario = check_scenario(val);
+  else if (key == "--scenario") return true;  // applied before the loop
   else if (key == "--schedules") args.opts.max_schedules = u();
   else if (key == "--budget") args.opts.budget_seconds = std::stod(val);
-  else if (key == "--seed") args.opts.seed = u();
+  else if (key == "--seed") cluster.seed = u();
   else if (key == "--changepoints")
     args.opts.pct_changepoints = static_cast<std::uint32_t>(u());
   else if (key == "--depth") args.opts.dfs_max_depth = u();
-  else if (key == "--protocol") args.opts.protocol = parse_protocol(val);
+  else if (key == "--protocol") cluster.protocol = parse_protocol(val);
   else if (key == "--lock-cache") {
-    args.opts.lock_cache = true;
-    args.opts.lock_cache_capacity = val.empty() ? 0 : u();
+    cluster.lock_cache = true;
+    cluster.lock_cache_capacity = val.empty() ? 0 : u();
   }
   else if (key == "--no-minimize") args.opts.minimize = false;
   else if (key == "--minimize-replays") args.opts.max_minimize_replays = u();
@@ -99,7 +101,8 @@ bool parse_one(Args& args, const std::string& arg) {
   else if (key == "--replay") args.replay_path = val;
   // Undocumented: the mutation demo — break Moss retained-lock inheritance
   // and let the oracles find the counterexample (tests/check_explore).
-  else if (key == "--break-retention") args.opts.break_retention = true;
+  else if (key == "--break-retention")
+    cluster.test_mutations.break_retention = true;
   else return false;
   return true;
 }
@@ -108,6 +111,20 @@ bool parse_one(Args& args, const std::string& arg) {
 
 int main(int argc, char** argv) {
   Args args;
+  // --scenario replaces the whole scenario, cluster included, so it goes
+  // first and the cluster flags edit it wherever they appear.
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto eq = arg.find('=');
+    if (arg.substr(0, eq) != "--scenario") continue;
+    try {
+      args.opts.scenario =
+          check_scenario(eq == std::string::npos ? "" : arg.substr(eq + 1));
+    } catch (const std::exception& e) {
+      std::cerr << "bad flag " << arg << ": " << e.what() << "\n";
+      return 2;
+    }
+  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -142,8 +159,8 @@ int main(int argc, char** argv) {
                          : args.opts.mode == ExploreMode::kPct  ? "pct"
                                                                 : "dfs";
       std::cout << "exploring scenario '" << args.opts.scenario.name
-                << "' under " << to_string(args.opts.protocol) << ", mode="
-                << mode << ", max " << args.opts.max_schedules
+                << "' under " << to_string(args.opts.scenario.cluster.protocol)
+                << ", mode=" << mode << ", max " << args.opts.max_schedules
                 << " schedules\n";
       report = checker.run();
     }

@@ -80,7 +80,8 @@ void usage() {
       "  --protocols=a,b,...  cotec|otec|lotec|rc|lotec-dsd (default cotec,otec,lotec)\n"
       "  --per-object         print the per-object byte series\n"
       "  --time-model         print the Figure 6-8 time sweep\n"
-      "  --validate           check quiescent-state invariants afterwards\n"
+      "  --validate           re-run the last protocol with the same options\n"
+      "                       and check its quiescent-state invariants\n"
       "  --trace=FILE         dump a message-trace CSV of the last protocol\n"
       "  --spans=FILE         record phase spans; writes FILE (JSON lines)\n"
       "                       and FILE.chrome.json (Perfetto-loadable)\n"
@@ -119,6 +120,7 @@ bool parse_one(Args& args, const std::string& arg) {
   const std::string val = eq == std::string::npos ? "" : arg.substr(eq + 1);
   const auto u = [&] { return static_cast<std::size_t>(std::stoull(val)); };
   const auto f = [&] { return std::stod(val); };
+  ClusterConfig& cluster = args.options.cluster;
 
   if (key == "--objects") args.spec.num_objects = u();
   else if (key == "--min-pages") args.spec.min_pages = u();
@@ -134,17 +136,16 @@ bool parse_one(Args& args, const std::string& arg) {
   else if (key == "--coverage") args.spec.prediction_coverage = f();
   else if (key == "--seed") args.spec.seed = std::stoull(val);
   else if (key == "--flat") args.spec.hierarchical_targets = false;
-  else if (key == "--nodes") args.options.nodes = u();
-  else if (key == "--page-size") args.options.page_size =
+  else if (key == "--nodes") cluster.nodes = u();
+  else if (key == "--page-size") cluster.page_size =
       static_cast<std::uint32_t>(u());
-  else if (key == "--cache") args.options.cache_capacity_pages = u();
-  else if (key == "--multicast") args.options.multicast = true;
-  else if (key == "--batch") args.options.batch_messages = true;
+  else if (key == "--cache") cluster.cache_capacity_pages = u();
+  else if (key == "--multicast") cluster.net.multicast_capable = true;
+  else if (key == "--batch") cluster.net.batch_messages = true;
   else if (key == "--prefetch") args.options.prefetch_hints = true;
   else if (key == "--read-fraction") args.options.read_only_fraction = f();
-  else if (key == "--mv-read") args.options.mv_read = true;
-  else if (key == "--shadow-pages") args.options.undo =
-      UndoStrategy::kShadowPage;
+  else if (key == "--mv-read") cluster.mv_read = true;
+  else if (key == "--shadow-pages") cluster.undo = UndoStrategy::kShadowPage;
   else if (key == "--protocols") {
     args.protocols.clear();
     std::stringstream ss(val);
@@ -157,15 +158,15 @@ bool parse_one(Args& args, const std::string& arg) {
   else if (key == "--validate") args.validate = true;
   else if (key == "--trace") args.trace_path = val;
   else if (key == "--spans") {
-    args.options.trace_spans = true;
-    args.options.spans_jsonl = val;
-    args.options.chrome_trace = val + ".chrome.json";
+    cluster.obs.trace_spans = true;
+    cluster.obs.spans_jsonl = val;
+    cluster.obs.chrome_trace = val + ".chrome.json";
   }
   else if (key == "--faults") {
     args.faults = true;
     if (!val.empty()) args.fault_seed = std::stoull(val);
   }
-  else if (key == "--flight-dump") args.options.flight_dump = val;
+  else if (key == "--flight-dump") cluster.obs.flight_dump = val;
   else if (key == "--scenario") {
     const std::uint64_t keep_seed = args.spec.seed;
     if (val == "fig2") args.spec = scenarios::medium_high_contention();
@@ -178,12 +179,12 @@ bool parse_one(Args& args, const std::string& arg) {
   }
   else if (key == "--counters-out") args.counters_out = val;
   else if (key == "--distributed") {
-    args.options.wire.enabled = true;
-    if (!val.empty()) args.options.nodes = u();
+    cluster.wire.enabled = true;
+    if (!val.empty()) cluster.nodes = u();
   }
-  else if (key == "--tcp") args.options.wire.tcp = true;
-  else if (key == "--worker") args.options.wire.worker_path = val;
-  else if (key == "--worker-spans") args.options.wire.worker_spans = val;
+  else if (key == "--tcp") cluster.wire.tcp = true;
+  else if (key == "--worker") cluster.wire.worker_path = val;
+  else if (key == "--worker-spans") cluster.wire.worker_spans = val;
   else return false;
   return true;
 }
@@ -213,64 +214,44 @@ void write_counters_json(const ScenarioResult& r, const std::string& path) {
   out << "  }\n}\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  Args args;
-  args.spec = WorkloadSpec{};
-  args.spec.num_objects = 20;
-  args.spec.seed = 0xF162;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    }
-    // `--distributed 4` reads naturally in docs and CI scripts; fold the
-    // space-separated node count into the uniform key=value form.
-    if (arg == "--distributed" && i + 1 < argc &&
-        std::isdigit(static_cast<unsigned char>(argv[i + 1][0])))
-      arg += std::string("=") + argv[++i];
-    try {
-      if (!parse_one(args, arg)) {
-        std::cerr << "unknown flag: " << arg << " (see --help)\n";
-        return 2;
-      }
-    } catch (const std::exception& e) {
-      std::cerr << "bad flag " << arg << ": " << e.what() << "\n";
-      return 2;
-    }
-  }
-
+/// Everything after flag parsing.  A UsageError (an option combination
+/// the cluster rejects, an unwritable output file) reaches main as exit 2.
+int run(Args& args) {
   if (args.faults) {
     // Built after the flag loop so --nodes takes effect regardless of flag
     // order.  Victims: node 1 (a directory home under the default
-    // partitioning) and the last node; run_scenario turns on GDO
-    // replication automatically for node faults.
-    args.options.fault = fault_presets::chaos(
+    // partitioning) and the last node; the cluster turns on GDO
+    // replication itself for node faults.
+    args.options.cluster.fault = fault_presets::chaos(
         NodeId(1),
-        NodeId(static_cast<std::uint32_t>(args.options.nodes - 1)),
+        NodeId(static_cast<std::uint32_t>(args.options.cluster.nodes - 1)),
         args.fault_seed);
   }
+  args.options.validate();
 
   const Workload workload(args.spec);
   std::cout << "workload: " << workload.num_objects() << " objects, "
             << args.spec.num_transactions << " roots, "
             << workload.total_script_nodes() << " invocations, theta="
-            << args.spec.contention_theta << ", nodes=" << args.options.nodes
+            << args.spec.contention_theta
+            << ", nodes=" << args.options.cluster.nodes
             << "\n";
 
   std::vector<ScenarioResult> results;
-  for (const ProtocolKind protocol : args.protocols) {
-    ExperimentOptions options = args.options;
-    if (args.protocols.size() > 1 && options.trace_spans) {
-      options.spans_jsonl = protocol_trace_path(options.spans_jsonl, protocol);
-      options.chrome_trace =
-          protocol_trace_path(options.chrome_trace, protocol);
+  ExperimentOptions options;  // after the loop: the last protocol's run
+  for (std::size_t i = 0; i < args.protocols.size(); ++i) {
+    const ProtocolKind protocol = args.protocols[i];
+    options = args.options;
+    options.cluster.protocol = protocol;
+    ObsConfig& obs = options.cluster.obs;
+    if (args.protocols.size() > 1 && obs.trace_spans) {
+      obs.spans_jsonl = protocol_trace_path(obs.spans_jsonl, protocol);
+      obs.chrome_trace = protocol_trace_path(obs.chrome_trace, protocol);
     }
-    if (args.protocols.size() > 1 && !options.flight_dump.empty())
-      options.flight_dump = protocol_trace_path(options.flight_dump, protocol);
+    if (args.protocols.size() > 1 && !obs.flight_dump.empty())
+      obs.flight_dump = protocol_trace_path(obs.flight_dump, protocol);
+    options.record_trace =
+        !args.trace_path.empty() && i + 1 == args.protocols.size();
     results.push_back(run_scenario(workload, protocol, options));
   }
 
@@ -290,9 +271,10 @@ int main(int argc, char** argv) {
               << " -> " << args.counters_out << "\n";
   }
 
-  if (args.options.wire.enabled)
-    std::cout << "\nwire: " << args.options.nodes << " worker processes over "
-              << (args.options.wire.tcp ? "TCP loopback" : "unix sockets")
+  const ClusterConfig& cluster = args.options.cluster;
+  if (cluster.wire.enabled)
+    std::cout << "\nwire: " << cluster.nodes << " worker processes over "
+              << (cluster.wire.tcp ? "TCP loopback" : "unix sockets")
               << "; per-worker delivery ledgers cross-checked against "
                  "shipped counters\n";
 
@@ -304,13 +286,13 @@ int main(int argc, char** argv) {
       std::cout << to_string(results[i].protocol) << " crashes=" << fs.crashes
                 << " restarts=" << fs.restarts << " dropped=" << fs.dropped;
     }
-    if (!args.options.flight_dump.empty())
-      std::cout << "\nflight recorder -> " << args.options.flight_dump
+    if (!cluster.obs.flight_dump.empty())
+      std::cout << "\nflight recorder -> " << cluster.obs.flight_dump
                 << " (one dump per crash; later crashes get .2, .3, ...)";
     std::cout << "\n";
   }
 
-  if (args.options.trace_spans) {
+  if (cluster.obs.trace_spans) {
     std::cout << "\nspans: ";
     for (std::size_t i = 0; i < results.size(); ++i) {
       if (i) std::cout << ", ";
@@ -319,8 +301,8 @@ int main(int argc, char** argv) {
     }
     std::cout << " -> "
               << (args.protocols.size() == 1
-                      ? args.options.spans_jsonl
-                      : protocol_trace_path(args.options.spans_jsonl,
+                      ? cluster.obs.spans_jsonl
+                      : protocol_trace_path(cluster.obs.spans_jsonl,
                                             args.protocols.front()) + " ...")
               << " (+ .chrome.json)\n";
   }
@@ -363,38 +345,22 @@ int main(int argc, char** argv) {
   }
 
   if (!args.trace_path.empty()) {
-    // Re-run the last protocol with tracing on and dump the CSV.
-    ClusterConfig cfg;
-    cfg.nodes = args.options.nodes;
-    cfg.page_size = args.options.page_size;
-    cfg.protocol = args.protocols.back();
-    cfg.seed = args.options.cluster_seed;
-    cfg.cache_capacity_pages = args.options.cache_capacity_pages;
-    Cluster cluster(cfg);
-    ClusterObservation obs = cluster.observe();
-    obs.stats().enable_trace(1u << 22);
-    (void)cluster.execute(workload.instantiate(cluster));
+    const ScenarioResult& last = results.back();
     std::ofstream out(args.trace_path);
-    dump_trace_csv(obs.stats().trace(), out);
-    std::cout << "\ntrace: " << obs.stats().trace().size()
-              << " messages -> " << args.trace_path;
-    if (obs.stats().trace_dropped() > 0)
-      std::cout << " (" << obs.stats().trace_dropped() << " dropped)";
+    dump_trace_csv(last.trace, out);
+    std::cout << "\ntrace: " << last.trace.size() << " messages -> "
+              << args.trace_path;
+    if (last.trace_dropped > 0)
+      std::cout << " (" << last.trace_dropped << " dropped)";
     std::cout << "\n";
   }
 
   if (args.validate) {
-    // Re-run the last protocol on a fresh cluster and validate it (the
-    // harness tears its clusters down; validation needs a live one).
-    ClusterConfig cfg;
-    cfg.nodes = args.options.nodes;
-    cfg.page_size = args.options.page_size;
-    cfg.protocol = args.protocols.back();
-    cfg.seed = args.options.cluster_seed;
-    cfg.cache_capacity_pages = args.options.cache_capacity_pages;
-    Cluster cluster(cfg);
-    (void)cluster.execute(workload.instantiate(cluster));
-    const auto violations = validate_quiescent(cluster);
+    // The harness tears its clusters down and validation needs a live one:
+    // re-run the last protocol from the same options and requests.
+    Cluster live(options.cluster);
+    (void)live.execute(scenario_requests(workload, live, options));
+    const auto violations = validate_quiescent(live);
     if (violations.empty()) {
       std::cout << "\nvalidation: all quiescent-state invariants hold\n";
     } else {
@@ -404,4 +370,42 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  args.spec = WorkloadSpec{};
+  args.spec.num_objects = 20;
+  args.spec.seed = 0xF162;
+
+  for (int i = 1; i < argc; ++i) {
+    std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      usage();
+      return 0;
+    }
+    // `--distributed 4` reads naturally in docs and CI scripts; fold the
+    // space-separated node count into the uniform key=value form.
+    if (arg == "--distributed" && i + 1 < argc &&
+        std::isdigit(static_cast<unsigned char>(argv[i + 1][0])))
+      arg += std::string("=") + argv[++i];
+    try {
+      if (!parse_one(args, arg)) {
+        std::cerr << "unknown flag: " << arg << " (see --help)\n";
+        return 2;
+      }
+    } catch (const std::exception& e) {
+      std::cerr << "bad flag " << arg << ": " << e.what() << "\n";
+      return 2;
+    }
+  }
+
+  try {
+    return run(args);
+  } catch (const UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

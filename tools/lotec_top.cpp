@@ -21,6 +21,8 @@
 // 3 source unavailable.
 #include <algorithm>
 #include <array>
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -30,6 +32,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,6 +55,19 @@ struct Options {
   std::uint32_t interval_ms = 1000;
   std::uint64_t iterations = 0;  // 0 = until the source disappears
 };
+
+/// The whole of `text` as a decimal count no larger than `max`; throws
+/// std::invalid_argument otherwise.
+std::uint64_t parse_count(const std::string& text, std::uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(text.c_str()[0])) ||
+      *end != '\0' || errno != 0 || v > max)
+    throw std::invalid_argument("'" + text + "' is not a count in [0, " +
+                                std::to_string(max) + "]");
+  return v;
+}
 
 int usage() {
   std::cerr
@@ -288,33 +304,39 @@ int main(int argc, char** argv) {
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? std::string() : arg.substr(eq + 1);
-    if (key == "--dir") {
-      opt.socket_dir = value;
-    } else if (key == "--nodes") {
-      opt.nodes = static_cast<std::uint32_t>(std::stoul(value));
-    } else if (key == "--tcp") {
-      opt.tcp = true;
-    } else if (key == "--ports") {
-      std::size_t start = 0;
-      while (start <= value.size()) {
-        const auto comma = value.find(',', start);
-        const std::string item = value.substr(
-            start,
-            comma == std::string::npos ? std::string::npos : comma - start);
-        if (!item.empty())
-          opt.ports.push_back(
-              static_cast<std::uint16_t>(std::stoul(item)));
-        if (comma == std::string::npos) break;
-        start = comma + 1;
+    try {
+      if (key == "--dir") {
+        opt.socket_dir = value;
+      } else if (key == "--nodes") {
+        opt.nodes = static_cast<std::uint32_t>(parse_count(value, UINT32_MAX));
+      } else if (key == "--tcp") {
+        opt.tcp = true;
+      } else if (key == "--ports") {
+        std::size_t start = 0;
+        while (start <= value.size()) {
+          const auto comma = value.find(',', start);
+          const std::string item = value.substr(
+              start,
+              comma == std::string::npos ? std::string::npos : comma - start);
+          if (!item.empty())
+            opt.ports.push_back(
+                static_cast<std::uint16_t>(parse_count(item, UINT16_MAX)));
+          if (comma == std::string::npos) break;
+          start = comma + 1;
+        }
+      } else if (key == "--jsonl") {
+        opt.jsonl_path = value;
+      } else if (key == "--interval-ms") {
+        opt.interval_ms =
+            static_cast<std::uint32_t>(parse_count(value, UINT32_MAX));
+      } else if (key == "--iterations") {
+        opt.iterations = parse_count(value, UINT64_MAX);
+      } else {
+        return usage();
       }
-    } else if (key == "--jsonl") {
-      opt.jsonl_path = value;
-    } else if (key == "--interval-ms") {
-      opt.interval_ms = static_cast<std::uint32_t>(std::stoul(value));
-    } else if (key == "--iterations") {
-      opt.iterations = std::stoull(value);
-    } else {
-      return usage();
+    } catch (const std::exception& e) {
+      std::cerr << "lotec_top: bad flag " << arg << ": " << e.what() << '\n';
+      return 2;
     }
   }
   const bool wire = !opt.socket_dir.empty() || opt.tcp;

@@ -66,12 +66,10 @@ struct Draw {
   double read_only_fraction = 0.0;
 };
 
-/// Chaos-mode constraints: node faults need a replicated directory, and
-/// every family must survive long enough to see the restart (bounded retry
-/// budget stays the default).
+/// Chaos-mode draws.  Every family must survive long enough to see the
+/// restart (bounded retry budget stays the default); the cluster itself
+/// replicates the directory for node faults.
 void add_random_faults(Draw& d, Rng& rng) {
-  d.cfg.gdo.replicate = true;
-
   const auto node = [&] {
     return NodeId(static_cast<std::uint32_t>(rng.below(d.cfg.nodes)));
   };
@@ -164,7 +162,6 @@ Draw random_setup(Rng& rng) {
 /// add_random_faults) so the random stream is identical with and without
 /// --rebalance.
 void constrain_for_rebalance(Draw& d, Rng& rng) {
-  d.cfg.gdo.replicate = true;
   d.cfg.mv_read = false;     // ring + snapshot reads are rejected
   d.cfg.lock_cache = false;  // ring + cached-holder leases are rejected
   d.cfg.lock_cache_capacity = 0;
