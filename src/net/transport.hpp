@@ -145,8 +145,7 @@ struct NetworkConfig {
   /// rounds) to one destination into one physical batch frame.  Off by
   /// default: the figures' logical per-kind counters are identical either
   /// way, but the physical ledger and wire-transport framing change, so the
-  /// knob must be explicit.  Incompatible with the fault engine (batched
-  /// tails defer their acks, which would mask per-message fault verdicts);
+  /// knob must be explicit.  Incompatible with the fault engine;
   /// ClusterConfig::validate enforces that.
   bool batch_messages = false;
 };
@@ -175,7 +174,7 @@ class Transport {
   explicit Transport(std::size_t num_nodes, NetworkConfig config = {})
       : config_(config), failed_(num_nodes, false) {}
 
-  /// Polymorphic: the wire transport (src/wire) overrides the three
+  /// Polymorphic: the wire transport (src/wire) overrides the
   /// behavioral entry points below to ship each accounted message through
   /// real worker processes.  Not copyable, so slicing is not a hazard.
   virtual ~Transport() = default;
@@ -250,10 +249,7 @@ class Transport {
     if (hooks_ != nullptr) extra = hooks_->on_message(m);
     if (failed_[m.src.value()]) throw NodeUnreachable(m.src, m.src);
     if (failed_[m.dst.value()]) throw NodeUnreachable(m.src, m.dst);
-    if (m.src == m.dst) {
-      last_send_joined_ = false;
-      return;  // local, no network traffic
-    }
+    if (m.src == m.dst) return;  // local, no network traffic
     // Batching decides the PHYSICAL fate only, after every per-message
     // semantic above (tick, stamp, probe, fault verdict, reachability) has
     // run unchanged — which is why the logical ledgers and the checker's
@@ -261,7 +257,6 @@ class Transport {
     const bool joined = note_batch(m);
     stats_.record(m, joined);
     for (std::size_t i = 0; i < extra; ++i) stats_.record(m);
-    last_send_joined_ = joined;
     if (joined) ++window_joins_;
     if (logical_sends_ != nullptr) {
       logical_sends_->add(1 + extra);
@@ -290,17 +285,11 @@ class Transport {
         tracer_->instant(SpanPhase::kBatchFlush, 0, 0, window_joins_);
       window_joins_ = 0;
       open_batches_.clear();
-      on_batch_window_end();
     }
   }
 
   [[nodiscard]] bool batching_enabled() const noexcept {
     return config_.batch_messages;
-  }
-  /// Whether the most recent send() joined an open batch (the wire
-  /// transport reads this to defer the per-message ack wait).
-  [[nodiscard]] bool last_send_joined() const noexcept {
-    return last_send_joined_;
   }
 
   /// Account a one-to-many push (RC extension).  `destinations` that equal
@@ -338,7 +327,6 @@ class Transport {
         physical_sends_->add(copies);
       }
     }
-    last_send_joined_ = false;  // fan-out traffic never joins a batch
     if (timeseries_ != nullptr) timeseries_->on_message();
     return unreachable;
   }
@@ -366,11 +354,6 @@ class Transport {
   virtual void on_batch_complete() {}
 
  protected:
-  /// Hook for subclasses when the outermost batch window closes: the wire
-  /// transport flushes deferred acks here.  In-process delivery is
-  /// synchronous, so the base class has nothing to flush.
-  virtual void on_batch_window_end() {}
-
   /// Decide whether `m` joins an open batch.  Returns false (and opens a
   /// batch head for the pair when eligible) outside that case.
   [[nodiscard]] bool note_batch(const WireMessage& m) {
@@ -428,7 +411,6 @@ class Transport {
   /// map; cleared when the outermost window closes.
   std::vector<std::uint64_t> open_batches_;
   std::size_t batch_depth_ = 0;
-  bool last_send_joined_ = false;
 };
 
 /// RAII batch window (no-op when batching is disabled).

@@ -14,8 +14,9 @@ struct WireConfig {
   /// Run the cluster as real OS processes: one lotec_worker per node,
   /// joined by Unix-domain sockets (TCP with `tcp`), with every accounted
   /// message shipped coordinator -> src worker -> dst worker and
-  /// acknowledged back.  Mutually exclusive with the in-process-only seams
-  /// (schedule exploration, check sinks, FaultEngine message faults).
+  /// acknowledged back (acks are collected in bounded windows).  Mutually
+  /// exclusive with the in-process-only seams (schedule exploration, check
+  /// sinks, FaultEngine message faults).
   bool enabled = false;
   /// Use TCP loopback sockets instead of Unix-domain sockets.
   bool tcp = false;
@@ -34,12 +35,11 @@ struct WireConfig {
   /// Milliseconds the coordinator waits for a worker's HelloAck after
   /// spawn/respawn before declaring the launch failed.
   std::uint32_t handshake_timeout_ms = 10000;
-  /// Initial per-attempt acknowledgement timeout for one shipped frame.
-  /// Each retry doubles it (exponential backoff).
+  /// Acknowledgement timeout.  A worker Nacks a relayed frame its
+  /// destination has not acknowledged within this time; the coordinator
+  /// gives a window drain twice as long before it declares the source
+  /// worker unreachable.
   std::uint32_t ack_timeout_ms = 2000;
-  /// Send attempts per frame before the destination is declared
-  /// unreachable (mapped onto the NodeUnreachable retry path).
-  std::uint32_t max_send_attempts = 3;
 };
 
 }  // namespace lotec

@@ -120,8 +120,7 @@ void WorkerSupervisor::spawn(std::uint32_t node) {
     argv_store.push_back("--spans=" + cfg_.worker_spans + ".node" +
                          std::to_string(node) + ".jsonl");
   argv_store.push_back("--relay-timeout-ms=" +
-                       std::to_string(cfg_.ack_timeout_ms *
-                                      cfg_.max_send_attempts * 2));
+                       std::to_string(cfg_.ack_timeout_ms));
   std::vector<char*> argv;
   argv.reserve(argv_store.size() + 1);
   for (std::string& s : argv_store) argv.push_back(s.data());

@@ -38,7 +38,7 @@ class Reader {
 
 std::vector<std::byte> serialize_ledger(const WorkerLedger& l) {
   std::vector<std::byte> out;
-  out.reserve(8 * (1 + 4 * kNumWireKinds + 6));
+  out.reserve(8 * (1 + 4 * kNumWireKinds + 5));
   append_u64(out, kNumWireKinds);
   for (std::size_t k = 0; k < kNumWireKinds; ++k) {
     append_u64(out, l.delivered[k].messages);
@@ -46,7 +46,6 @@ std::vector<std::byte> serialize_ledger(const WorkerLedger& l) {
     append_u64(out, l.relayed[k].messages);
     append_u64(out, l.relayed[k].bytes);
   }
-  append_u64(out, l.duplicates_dropped);
   append_u64(out, l.locks_granted);
   append_u64(out, l.locks_released);
   append_u64(out, l.gdo_requests_served);
@@ -69,7 +68,6 @@ WorkerLedger parse_ledger(std::span<const std::byte> payload) {
     l.relayed[k].messages = r.u64();
     l.relayed[k].bytes = r.u64();
   }
-  l.duplicates_dropped = r.u64();
   l.locks_granted = r.u64();
   l.locks_released = r.u64();
   l.gdo_requests_served = r.u64();

@@ -37,9 +37,6 @@ struct WorkerLedger {
   std::array<KindCounts, kNumWireKinds> delivered{};
   /// Frames this worker forwarded as the source site, by kind.
   std::array<KindCounts, kNumWireKinds> relayed{};
-  /// Retransmitted frames recognized by correlation id and dropped without
-  /// double-accounting.
-  std::uint64_t duplicates_dropped = 0;
 
   // --- node-local shard mirror (GDO shard / page store / lock table) ------
   /// Global lock grants installed into this site's lock table
@@ -80,7 +77,6 @@ struct WorkerLedger {
       relayed[k].messages += o.relayed[k].messages;
       relayed[k].bytes += o.relayed[k].bytes;
     }
-    duplicates_dropped += o.duplicates_dropped;
     locks_granted += o.locks_granted;
     locks_released += o.locks_released;
     gdo_requests_served += o.gdo_requests_served;
@@ -94,7 +90,7 @@ struct WorkerLedger {
 
 /// StatsReply payload: little-endian u64 sequence
 /// [kNumWireKinds, {delivered msgs, delivered bytes, relayed msgs, relayed
-/// bytes} x kinds, duplicates, locks_granted, locks_released,
+/// bytes} x kinds, locks_granted, locks_released,
 /// gdo_requests_served, replica_syncs_applied, page_bytes_stored].
 [[nodiscard]] std::vector<std::byte> serialize_ledger(const WorkerLedger& l);
 

@@ -84,6 +84,9 @@ std::pair<Fd, std::uint16_t> tcp_listen(int backlog) {
   Fd fd = make_socket(AF_INET);
   const int one = 1;
   ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Accepted connections inherit this: acks written back-to-back must not
+  // wait out Nagle behind the peer's delayed ACK.
+  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -167,6 +170,23 @@ void read_full(const Fd& fd, std::span<std::byte> out,
     if (n == 0) throw SocketError("connection closed by peer");
     if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
     throw_errno("recv");
+  }
+}
+
+void read_available(const Fd& fd, std::vector<std::byte>& buf,
+                    std::chrono::steady_clock::time_point deadline) {
+  std::byte chunk[64 * 1024];
+  for (;;) {
+    const ssize_t n = ::recv(fd.get(), chunk, sizeof(chunk), MSG_DONTWAIT);
+    if (n > 0) {
+      buf.insert(buf.end(), chunk, chunk + n);
+      return;
+    }
+    if (n == 0) throw SocketError("connection closed by peer");
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) throw_errno("recv");
+    if (!wait_readable(fd, millis_until(deadline)))
+      throw SocketError("read timeout");
   }
 }
 

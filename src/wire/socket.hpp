@@ -9,6 +9,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -73,6 +74,12 @@ void write_full(const Fd& fd, std::span<const std::byte> data);
 /// SocketError on EOF, error, or deadline expiry.
 void read_full(const Fd& fd, std::span<std::byte> out,
                std::chrono::steady_clock::time_point deadline);
+
+/// Append to `buf` the bytes ready on `fd` (at least one), waiting until
+/// `deadline` only when none are: one recv when data is already there.
+/// Throws SocketError on EOF, error, or deadline expiry.
+void read_available(const Fd& fd, std::vector<std::byte>& buf,
+                    std::chrono::steady_clock::time_point deadline);
 
 /// Wait until `fd` is readable or the timeout elapses.  Returns false on
 /// timeout; throws SocketError on poll failure or hangup without data.

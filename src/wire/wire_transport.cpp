@@ -12,45 +12,48 @@ WireTransport::WireTransport(std::size_t num_nodes, NetworkConfig net_config,
       wire_(std::move(wire_config)),
       supervisor_(std::make_unique<WorkerSupervisor>(
           wire_, static_cast<std::uint32_t>(num_nodes))) {
-  conns_.resize(num_nodes);
+  links_.resize(num_nodes);
   worker_ledgers_.resize(num_nodes);
-  deferred_.resize(num_nodes);
-  stray_replies_.resize(num_nodes);
   for (std::uint32_t k = 0; k < num_nodes; ++k) handshake(k);
 }
 
 WireTransport::~WireTransport() {
-  // Windows are RAII-closed by their opener, so nothing should be pending
-  // here; if teardown happens mid-window anyway (exception unwind), drop
-  // the queue silently — the shutdown below supersedes any flush.
-  for (auto& v : deferred_) v.clear();
-  // Graceful shutdown first so workers flush span files; the supervisor's
-  // destructor SIGKILLs whatever ignored us.
-  for (std::uint32_t k = 0; k < conns_.size(); ++k) {
-    if (!conns_[k].valid()) continue;
+  // Best effort throughout: the supervisor's destructor SIGKILLs whatever
+  // ignored us.  Shutdown goes out to every worker before any reply is
+  // read, so the workers flush their span files in parallel.
+  std::vector<std::uint64_t> asked(links_.size(), 0);
+  for (std::uint32_t k = 0; k < links_.size(); ++k) {
     try {
+      drain(k);
+      if (!links_[k].fd.valid()) continue;
       Frame f;
       f.type = FrameType::kShutdown;
       f.dst = k;
       f.correlation = ++next_correlation_;
-      write_full(conns_[k], encode_frame(f));
-      (void)read_reply(k, f.correlation,
-                       deadline_after(Millis(wire_.ack_timeout_ms)));
+      write_frame(k, f);
+      asked[k] = f.correlation;
     } catch (const Error&) {
-      // Best effort; the supervisor cleans up.
+    }
+  }
+  const auto deadline = deadline_after(Millis(wire_.ack_timeout_ms));
+  for (std::uint32_t k = 0; k < links_.size(); ++k) {
+    if (asked[k] == 0) continue;
+    try {
+      (void)read_reply(k, asked[k], deadline);
+    } catch (const Error&) {
     }
   }
 }
 
 void WireTransport::handshake(std::uint32_t node) {
-  conns_[node] = supervisor_->connect_to(
-      node, Millis(wire_.handshake_timeout_ms));
+  links_[node].fd =
+      supervisor_->connect_to(node, Millis(wire_.handshake_timeout_ms));
   Frame hello;
   hello.type = FrameType::kHello;
   hello.src = kCoordinatorNode;
   hello.dst = node;
   hello.correlation = ++next_correlation_;
-  write_full(conns_[node], encode_frame(hello));
+  write_frame(node, hello);
   const Frame reply =
       read_reply(node, hello.correlation,
                  deadline_after(Millis(wire_.handshake_timeout_ms)));
@@ -61,153 +64,122 @@ void WireTransport::handshake(std::uint32_t node) {
 }
 
 void WireTransport::reconnect(std::uint32_t node) {
-  conns_[node].reset();
+  drop_link(node);
   handshake(node);
+}
+
+void WireTransport::drop_link(std::uint32_t node) {
+  Link& l = links_[node];
+  // Acks still owed on this connection will never be collected.
+  if (!l.unacked.empty()) ledger_complete_ = false;
+  l = Link{};
+}
+
+void WireTransport::write_frame(std::uint32_t node, const Frame& f) {
+  // Modeled payloads have sizes, not contents: the bytes after the header
+  // are zeros, so the kernel carries exactly what the analytic model
+  // charges.  Only the header is ever written into tx_, so growing it is
+  // the only zero-filling needed.
+  const std::size_t size = kFrameSize + f.payload_bytes;
+  if (tx_.size() < size) tx_.resize(size);
+  encode_frame(f, std::span<std::byte, kFrameSize>(tx_.data(), kFrameSize));
+  write_full(links_[node].fd, std::span<const std::byte>(tx_.data(), size));
+}
+
+Frame WireTransport::read_frame(std::uint32_t node,
+                                std::chrono::steady_clock::time_point deadline,
+                                std::vector<std::byte>* payload_out) {
+  Link& l = links_[node];
+  for (;;) {
+    const std::size_t avail = l.rx.size() - l.rx_off;
+    if (avail >= kFrameSize) {
+      const std::byte* head = l.rx.data() + l.rx_off;
+      const Frame f = decode_frame(std::span<const std::byte>(head, kFrameSize));
+      if (avail - kFrameSize >= f.payload_bytes) {
+        if (payload_out != nullptr)
+          payload_out->assign(head + kFrameSize,
+                              head + kFrameSize + f.payload_bytes);
+        l.rx_off += kFrameSize + f.payload_bytes;
+        return f;
+      }
+    }
+    l.rx.erase(l.rx.begin(),
+               l.rx.begin() + static_cast<std::ptrdiff_t>(l.rx_off));
+    l.rx_off = 0;
+    read_available(l.fd, l.rx, deadline);
+  }
 }
 
 Frame WireTransport::read_reply(std::uint32_t node, std::uint64_t correlation,
                                 std::chrono::steady_clock::time_point deadline,
                                 std::vector<std::byte>* payload_out) {
-  const Fd& conn = conns_[node];
+  // Callers drain the connection first, so nothing else is owed on it.
   for (;;) {
-    std::array<std::byte, kFrameSize> header;
-    read_full(conn, header, deadline);
-    const Frame f = decode_frame(header);
-    std::vector<std::byte> payload(f.payload_bytes);
-    if (f.payload_bytes > 0) read_full(conn, payload, deadline);
-    if (f.correlation == correlation &&
-        (f.type == FrameType::kAck || f.type == FrameType::kNack ||
-         f.type == FrameType::kHelloAck || f.type == FrameType::kStatsReply)) {
-      if (payload_out != nullptr) *payload_out = std::move(payload);
-      return f;
-    }
-    // Not ours.  An Ack/Nack belongs to an earlier deferred ship on this
-    // connection — remember it for flush_deferred.  Anything else is a
-    // stale reply from a timed-out attempt: skip and keep reading.
-    if (f.type == FrameType::kAck || f.type == FrameType::kNack)
-      stray_replies_[node].emplace(f.correlation, f.type);
+    const Frame f = read_frame(node, deadline, payload_out);
+    if (f.correlation == correlation) return f;
   }
 }
 
-void WireTransport::ship(const WireMessage& m, std::uint32_t dst,
-                         bool deferred) {
+void WireTransport::ship(const WireMessage& m, std::uint32_t dst) {
   const std::uint32_t src = m.src.value();
+  if (links_[src].unacked.size() >= kMaxUnackedFrames) drain(src);
   Frame f = data_frame(m, ++next_correlation_);
   f.dst = dst;  // send_to_all ships one copy per destination
-  if (deferred) {
-    // Batched tail: write the frame and move on.  No retry cycle — there is
-    // no ack to time out on here; delivery is proven when flush_deferred
-    // waits out the queue tail (FIFO link, serial worker).  A torn write is
-    // a hard connection failure, mapped to the same NodeUnreachable the
-    // retry exhaustion path produces.
-    try {
-      if (!conns_[src].valid()) reconnect(src);
-      write_full(conns_[src], encode_frame(f));
-      if (f.payload_bytes > 0) {
-        static const std::array<std::byte, 64 * 1024> zeros{};
-        std::uint64_t left = f.payload_bytes;
-        while (left > 0) {
-          const std::size_t n = static_cast<std::size_t>(
-              std::min<std::uint64_t>(left, zeros.size()));
-          write_full(conns_[src],
-                     std::span<const std::byte>(zeros.data(), n));
-          left -= n;
-        }
-      }
-    } catch (const SocketError&) {
-      conns_[src].reset();
-      ledger_complete_ = false;
-      throw NodeUnreachable(m.src, NodeId(dst));
-    }
-    deferred_[src].push_back(
-        PendingShip{m.kind, NodeId(dst), m.total_bytes(), f.correlation});
-    return;
-  }
-  Millis timeout(wire_.ack_timeout_ms);
-  for (std::uint32_t attempt = 0; attempt < wire_.max_send_attempts;
-       ++attempt) {
-    try {
-      if (!conns_[src].valid()) reconnect(src);
-      write_full(conns_[src], encode_frame(f));
-      if (f.payload_bytes > 0) {
-        static const std::array<std::byte, 64 * 1024> zeros{};
-        std::uint64_t left = f.payload_bytes;
-        while (left > 0) {
-          const std::size_t n = static_cast<std::size_t>(
-              std::min<std::uint64_t>(left, zeros.size()));
-          write_full(conns_[src],
-                     std::span<const std::byte>(zeros.data(), n));
-          left -= n;
-        }
-      }
-      const Frame reply =
-          read_reply(src, f.correlation, deadline_after(timeout));
-      if (reply.type == FrameType::kAck) {
-        auto& counts = shipped_[static_cast<std::size_t>(m.kind)];
-        counts.messages += 1;
-        counts.bytes += m.total_bytes();
-        return;
-      }
-      // Nack: the relay chain reported the destination unreachable or a
-      // timeout; retry after backoff like a lost message.
-    } catch (const SocketError&) {
-      // Connection to worker[src] is gone; next attempt reconnects.
-      conns_[src].reset();
-    }
-    timeout *= 2;
-  }
-  // The message was accounted but never physically delivered: the strict
-  // batch-end ledger comparison can no longer hold.
-  ledger_complete_ = false;
-  throw NodeUnreachable(m.src, NodeId(dst));
-}
-
-void WireTransport::flush_deferred(std::uint32_t src) {
-  auto& pending = deferred_[src];
-  if (pending.empty()) return;
-  auto& stray = stray_replies_[src];
-  const std::uint64_t tail = pending.back().correlation;
-  bool ok = true;
-  if (stray.find(tail) == stray.end()) {
-    // One generous wait for the queue tail; every earlier ack either gets
-    // skipped into `stray` on the way or was already recorded by an
-    // interleaved waiting ship.
-    try {
-      const Frame reply = read_reply(
-          src, tail,
-          deadline_after(Millis(wire_.ack_timeout_ms *
-                                std::max<std::uint32_t>(
-                                    1, wire_.max_send_attempts))));
-      if (reply.type != FrameType::kAck) ok = false;
-    } catch (const SocketError&) {
-      conns_[src].reset();
-      ok = false;
-    }
-  }
-  const NodeId last_dst = pending.back().dst;
-  for (const PendingShip& p : pending) {
-    const auto it = stray.find(p.correlation);
-    if (it != stray.end()) {
-      if (it->second != FrameType::kAck) ok = false;
-      stray.erase(it);
-    }
-  }
-  if (!ok) {
-    pending.clear();
+  try {
+    if (!links_[src].fd.valid()) reconnect(src);
+    write_frame(src, f);
+  } catch (const SocketError&) {
+    drop_link(src);
     ledger_complete_ = false;
-    throw NodeUnreachable(NodeId(src), last_dst);
+    throw NodeUnreachable(m.src, NodeId(dst));
   }
-  for (const PendingShip& p : pending) {
-    auto& counts = shipped_[static_cast<std::size_t>(p.kind)];
-    counts.messages += 1;
-    counts.bytes += p.total_bytes;
-  }
-  pending.clear();
+  links_[src].unacked.push_back(
+      Unacked{m.kind, NodeId(dst), m.total_bytes(), f.correlation});
 }
 
-void WireTransport::on_batch_window_end() {
-  for (std::uint32_t src = 0; src < deferred_.size(); ++src)
-    flush_deferred(src);
+void WireTransport::drain(std::uint32_t src) {
+  Link& l = links_[src];
+  if (l.unacked.empty()) return;
+  // Workers Nack a relay after ack_timeout_ms, so a healthy chain answers
+  // well before this deadline.
+  const auto deadline =
+      deadline_after(Millis(std::uint64_t{2} * wire_.ack_timeout_ms));
+  NodeId lost;  // destination of the first frame not delivered
+  try {
+    while (!l.unacked.empty()) {
+      const Frame f = read_frame(src, deadline);
+      if (f.type != FrameType::kAck && f.type != FrameType::kNack) continue;
+      const auto it = std::find_if(
+          l.unacked.begin(), l.unacked.end(),
+          [&](const Unacked& u) { return u.correlation == f.correlation; });
+      if (it == l.unacked.end()) {
+        ++unmatched_replies_;
+        continue;
+      }
+      if (f.type == FrameType::kAck) {
+        auto& counts = shipped_[static_cast<std::size_t>(it->kind)];
+        counts.messages += 1;
+        counts.bytes += it->total_bytes;
+      } else if (!lost.valid()) {
+        lost = it->dst;
+      }
+      *it = l.unacked.back();
+      l.unacked.pop_back();
+    }
+  } catch (const SocketError&) {
+    if (!lost.valid()) lost = l.unacked.front().dst;
+    drop_link(src);
+  }
+  if (lost.valid()) {
+    // Accounted but never physically delivered: the strict batch-end
+    // ledger comparison can no longer hold.
+    ledger_complete_ = false;
+    throw NodeUnreachable(NodeId(src), lost);
+  }
+}
+
+void WireTransport::drain_all() {
+  for (std::uint32_t src = 0; src < links_.size(); ++src) drain(src);
 }
 
 void WireTransport::send(const WireMessage& m) {
@@ -215,9 +187,7 @@ void WireTransport::send(const WireMessage& m) {
   // reachability, NetworkStats accounting.  Throws exactly as in-process.
   Transport::send(m);
   if (m.src == m.dst) return;  // local: no wire traffic in either mode
-  // A message that joined an open batch pipelines: its frame goes out now,
-  // its ack is collected when the batch window closes.
-  ship(m, m.dst.value(), last_send_joined());
+  ship(m, m.dst.value());
 }
 
 std::vector<NodeId> WireTransport::send_to_all(
@@ -230,67 +200,74 @@ std::vector<NodeId> WireTransport::send_to_all(
   // consistent.)
   for (const NodeId dst : destinations) {
     if (dst == m.src) continue;
-    bool skipped = false;
-    for (const NodeId u : unreachable)
-      if (u == dst) {
-        skipped = true;
-        break;
-      }
-    if (!skipped) ship(m, dst.value());
+    if (std::find(unreachable.begin(), unreachable.end(), dst) ==
+        unreachable.end())
+      ship(m, dst.value());
   }
   return unreachable;
 }
 
 void WireTransport::set_node_failed(NodeId node, bool failed) {
-  Transport::set_node_failed(node, failed);
   const std::uint32_t k = node.value();
   if (failed) {
+    // Collect every ack owed so far while the worker still lives: each
+    // frame shipped before the crash is then delivered, exactly as the
+    // in-process transport delivered it, and none is Nacked by the kill.
+    drain_all();
+    Transport::set_node_failed(node, true);
     if (supervisor_->alive(k)) {
       supervisor_->kill_worker(k);
       // Whatever that incarnation had delivered died with it.
       ledger_complete_ = false;
     }
-    conns_[k].reset();
-    // Acks owed by the dead incarnation will never arrive.
-    deferred_[k].clear();
-    stray_replies_[k].clear();
-  } else if (!supervisor_->alive(k)) {
+    drop_link(k);
+    return;
+  }
+  Transport::set_node_failed(node, false);
+  if (!supervisor_->alive(k)) {
     supervisor_->respawn_worker(k);
     reconnect(k);
   }
 }
 
 void WireTransport::on_batch_complete() {
-  // Defensive: a well-formed run has no open window here, but the ledger
-  // cross-check below requires every shipped frame resolved.
-  for (std::uint32_t src = 0; src < deferred_.size(); ++src)
-    flush_deferred(src);
+  // The cross-check below needs every shipped frame resolved.
+  drain_all();
   gathered_ = WorkerLedger{};
-  for (std::uint32_t k = 0; k < conns_.size(); ++k) {
-    if (!supervisor_->alive(k)) {
-      worker_ledgers_[k] = WorkerLedger{};
-      continue;
-    }
+  // Ask every live worker first, then read the replies: one round trip for
+  // the fleet instead of one per worker.
+  std::vector<std::uint64_t> asked(links_.size(), 0);
+  for (std::uint32_t k = 0; k < links_.size(); ++k) {
+    worker_ledgers_[k] = WorkerLedger{};
+    if (!supervisor_->alive(k)) continue;
     Frame req;
     req.type = FrameType::kStatsRequest;
     req.dst = k;
     req.correlation = ++next_correlation_;
-    std::vector<std::byte> payload;
     try {
-      if (!conns_[k].valid()) reconnect(k);
-      write_full(conns_[k], encode_frame(req));
-      const Frame reply =
-          read_reply(k, req.correlation,
-                     deadline_after(Millis(wire_.handshake_timeout_ms)),
-                     &payload);
-      if (reply.type != FrameType::kStatsReply)
-        throw Error("wire: worker " + std::to_string(k) +
-                    " answered the stats request with frame type " +
-                    std::to_string(static_cast<int>(reply.type)));
+      if (!links_[k].fd.valid()) reconnect(k);
+      write_frame(k, req);
     } catch (const SocketError& e) {
       throw Error("wire: gathering stats from worker " + std::to_string(k) +
                   ": " + e.what());
     }
+    asked[k] = req.correlation;
+  }
+  const auto deadline = deadline_after(Millis(wire_.handshake_timeout_ms));
+  for (std::uint32_t k = 0; k < links_.size(); ++k) {
+    if (asked[k] == 0) continue;
+    std::vector<std::byte> payload;
+    Frame reply;
+    try {
+      reply = read_reply(k, asked[k], deadline, &payload);
+    } catch (const SocketError& e) {
+      throw Error("wire: gathering stats from worker " + std::to_string(k) +
+                  ": " + e.what());
+    }
+    if (reply.type != FrameType::kStatsReply)
+      throw Error("wire: worker " + std::to_string(k) +
+                  " answered the stats request with frame type " +
+                  std::to_string(static_cast<int>(reply.type)));
     worker_ledgers_[k] = parse_ledger(payload);
     gathered_ += worker_ledgers_[k];
   }

@@ -16,18 +16,22 @@
 // same seed and scenario — and on_batch_complete() *proves* it by
 // gathering every worker's ledger and cross-checking per message kind.
 //
-// Failure mapping: ship timeouts retry with exponential backoff
-// (ack_timeout_ms doubling, max_send_attempts) and then surface as
-// NodeUnreachable(src, dst) — the exact exception the runtime's existing
-// retry/recovery paths (PR 1 lease/epoch recovery) already handle.
-// set_node_failed(node, true) kills the real worker process (SIGKILL);
-// recovery respawns it on the same pre-bound listen socket.  Any kill
-// marks the ledger incomplete and downgrades the batch-end cross-check
-// (a dead incarnation's deliveries died with it).
+// Pipelining: the acks carry nothing the simulation decides on, so a ship
+// writes its frame (header and payload in one write) and returns.  Each
+// worker connection keeps the correlation ids it still owes an ack for, at
+// most kMaxUnackedFrames of them; the acks are collected (drained) when
+// that window is full, before a worker is killed, at batch end and at
+// teardown.  A Nack, a timeout or a broken connection surfaces at the
+// drain as NodeUnreachable(src, dst) — the exception the runtime's
+// recovery paths already handle.  set_node_failed(node, true) drains every
+// connection, then kills the real worker process (SIGKILL), so no frame
+// shipped before a crash is lost with it; recovery respawns the worker on
+// the same pre-bound listen socket.  Any kill marks the ledger incomplete
+// and downgrades the batch-end cross-check (a dead incarnation's
+// deliveries died with it).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -40,6 +44,12 @@
 
 namespace lotec::wire {
 
+/// Frames the coordinator ships on one worker connection before it stops to
+/// collect their acks.  64 acks are 4 KiB, far below a socket buffer, so a
+/// worker never blocks writing acks while the coordinator blocks writing
+/// data.
+inline constexpr std::size_t kMaxUnackedFrames = 64;
+
 class WireTransport final : public Transport {
  public:
   /// Spawns the worker fleet and completes the Hello/HelloAck handshake
@@ -47,8 +57,9 @@ class WireTransport final : public Transport {
   WireTransport(std::size_t num_nodes, NetworkConfig net_config,
                 WireConfig wire_config);
 
-  /// Shuts the fleet down gracefully (Shutdown frames, so workers flush
-  /// their span files) before the supervisor reaps anything left.
+  /// Drains the outstanding acks, then shuts the fleet down gracefully
+  /// (Shutdown frames, so workers flush their span files) before the
+  /// supervisor reaps anything left.
   ~WireTransport() override;
 
   void send(const WireMessage& m) override;
@@ -57,11 +68,21 @@ class WireTransport final : public Transport {
   void set_node_failed(NodeId node, bool failed) override;
   void on_batch_complete() override;
 
-  /// Deferred acks still outstanding (0 outside an open batch window).
+  /// Shipped frames on worker[node]'s connection whose acks are not
+  /// collected yet (never above kMaxUnackedFrames).
+  [[nodiscard]] std::size_t deferred_pending(std::uint32_t node) const {
+    return links_.at(node).unacked.size();
+  }
+  /// The same, summed over every connection (0 after on_batch_complete).
   [[nodiscard]] std::size_t deferred_pending() const noexcept {
     std::size_t n = 0;
-    for (const auto& v : deferred_) n += v.size();
+    for (const Link& l : links_) n += l.unacked.size();
     return n;
+  }
+  /// Acks and Nacks that matched no outstanding frame.  Every reply is
+  /// owed by exactly one shipped frame, so this stays 0.
+  [[nodiscard]] std::uint64_t unmatched_replies() const noexcept {
+    return unmatched_replies_;
   }
 
   /// What this coordinator successfully shipped, by kind (full wire bytes).
@@ -87,49 +108,60 @@ class WireTransport final : public Transport {
     return *supervisor_;
   }
 
- protected:
-  /// Flush every deferred ack when the outermost batch window closes.
-  void on_batch_window_end() override;
-
  private:
-  /// A frame written without waiting for its ack (batched tail): resolved
-  /// wholesale when the batch window closes.
-  struct PendingShip {
+  /// A data frame written to a worker whose ack is still to be collected.
+  struct Unacked {
     MessageKind kind{};
     NodeId dst{};
     std::uint64_t total_bytes = 0;
     std::uint64_t correlation = 0;
   };
 
+  /// The coordinator's connection to one worker.
+  struct Link {
+    Fd fd;
+    /// Received bytes not yet decoded; `rx_off` marks the decoded prefix.
+    std::vector<std::byte> rx;
+    std::size_t rx_off = 0;
+    std::vector<Unacked> unacked;
+  };
+
   void handshake(std::uint32_t node);
   void reconnect(std::uint32_t node);
-  /// One physical delivery attempt cycle with retry/backoff; counts the
-  /// frame into shipped_ on success, throws NodeUnreachable on exhaustion.
-  /// With `deferred` set (the message joined an open batch) the frame is
-  /// written and queued on deferred_[src] instead of waiting for its ack —
-  /// the worker link is FIFO and the worker serial, so the later flush of
-  /// the queue tail proves delivery of the whole run.
-  void ship(const WireMessage& m, std::uint32_t dst, bool deferred = false);
-  /// Wait out the deferred-ack queue of worker[src]; counts the flushed
-  /// frames into shipped_ or throws NodeUnreachable on a Nack/timeout.
-  void flush_deferred(std::uint32_t src);
-  /// Read frames from worker[node]'s connection until an Ack/Nack matching
-  /// `correlation` arrives.  Skipped Ack/Nack frames are remembered in
-  /// stray_replies_[node] — they are the acknowledgements of earlier
-  /// deferred ships, consumed later by flush_deferred.
+  /// Forget the connection to worker[node] and everything buffered on it.
+  void drop_link(std::uint32_t node);
+  /// Write `f` and its (zero-filled) payload to worker[node] in one write.
+  void write_frame(std::uint32_t node, const Frame& f);
+  /// Decode the next frame from worker[node]'s connection, receiving more
+  /// bytes only when the buffer holds no whole frame.  The payload is
+  /// copied to `payload_out` when given.  Throws SocketError on EOF,
+  /// error or `deadline`.
+  Frame read_frame(std::uint32_t node,
+                   std::chrono::steady_clock::time_point deadline,
+                   std::vector<std::byte>* payload_out = nullptr);
+  /// Read frames until the reply carrying `correlation` arrives.
   Frame read_reply(std::uint32_t node, std::uint64_t correlation,
                    std::chrono::steady_clock::time_point deadline,
                    std::vector<std::byte>* payload_out = nullptr);
+  /// Write one data frame to worker[src] without waiting for its ack,
+  /// draining the connection first when its window is full.
+  void ship(const WireMessage& m, std::uint32_t dst);
+  /// Collect every outstanding ack of worker[src]'s connection; counts the
+  /// acknowledged frames into shipped_ and throws NodeUnreachable when any
+  /// frame was Nacked or the connection failed.
+  void drain(std::uint32_t src);
+  void drain_all();
 
   WireConfig wire_;
   std::unique_ptr<WorkerSupervisor> supervisor_;
-  std::vector<Fd> conns_;  // coordinator -> worker[k], index = node id
+  std::vector<Link> links_;  // index = node id
+  /// Reused encode buffer; everything past the header stays zero.
+  std::vector<std::byte> tx_;
   std::uint64_t next_correlation_ = 0;
+  std::uint64_t unmatched_replies_ = 0;
   std::array<KindCounts, kNumWireKinds> shipped_{};
   WorkerLedger gathered_;
   std::vector<WorkerLedger> worker_ledgers_;
-  std::vector<std::vector<PendingShip>> deferred_;   // index = src node
-  std::vector<std::map<std::uint64_t, FrameType>> stray_replies_;
   bool ledger_complete_ = true;
 };
 

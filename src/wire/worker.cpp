@@ -50,14 +50,19 @@ struct Conn {
   std::uint64_t skip = 0;
   Frame pending{};
   bool has_pending = false;
-  /// Highest correlation id delivered on this connection (retransmit dedup;
-  /// the coordinator issues globally monotonic ids and runs serially, so
-  /// ids are non-decreasing per channel).
-  std::uint64_t last_corr = 0;
+  /// Outgoing frames queued during a poll pass; `out_off` marks the prefix
+  /// the kernel has already taken.
+  std::vector<std::byte> out;
+  std::size_t out_off = 0;
+
+  [[nodiscard]] bool has_output() const noexcept {
+    return out_off < out.size();
+  }
 };
 
+/// A frame relayed to a peer whose ack has not come back yet.
 struct PendingRelay {
-  std::uint32_t dst = 0;
+  Frame frame;
   std::chrono::steady_clock::time_point deadline;
 };
 
@@ -78,8 +83,10 @@ class Worker {
     while (running_) {
       poll_once();
       expire_relays();
+      flush_all();
       sweep_dead();
     }
+    flush_before_exit();
     if (spans_.is_open()) spans_.flush();
     return 0;
   }
@@ -122,7 +129,7 @@ class Worker {
     hello.src = opt_.node;
     hello.dst = j;
     hello.payload_bytes = 0;
-    send_frame(*c, hello, {});
+    send_frame(*c, hello);
     return c;
   }
 
@@ -141,7 +148,7 @@ class Worker {
     }
     if (c.role == ConnRole::kOutboundPeer) {
       // Relays in flight to that peer will never be acknowledged.
-      nack_pending_to(c.peer, NackReason::kPeerUnreachable);
+      nack_pending_to(c.peer);
     }
   }
 
@@ -160,7 +167,8 @@ class Worker {
     by_index.push_back(nullptr);
     for (auto& c : conns_) {
       if (c->dead) continue;
-      fds.push_back({c->fd.get(), POLLIN, 0});
+      const short events = c->has_output() ? POLLIN | POLLOUT : POLLIN;
+      fds.push_back({c->fd.get(), events, 0});
       by_index.push_back(c.get());
     }
     const int timeout = next_poll_timeout_ms();
@@ -225,14 +233,12 @@ class Worker {
         } catch (const WireProtocolError&) {
           // Hostile or corrupt bytes: reject the connection outright; a
           // desynchronized stream cannot be trusted frame-by-frame.
-          try {
-            Frame nack;
-            nack.type = FrameType::kNack;
-            nack.flags = static_cast<std::uint8_t>(NackReason::kBadFrame);
-            nack.src = opt_.node;
-            send_frame(c, nack, {});
-          } catch (const SocketError&) {
-          }
+          Frame nack;
+          nack.type = FrameType::kNack;
+          nack.flags = static_cast<std::uint8_t>(NackReason::kBadFrame);
+          nack.src = opt_.node;
+          send_frame(c, nack);
+          (void)flush(c);
           close_conn(c);
           break;
         }
@@ -271,7 +277,7 @@ class Worker {
           ack.src = opt_.node;
           ack.dst = f.src;
           ack.correlation = f.correlation;
-          send_or_close(c, ack, {});
+          send_frame(c, ack);
         } else {
           c.role = ConnRole::kInboundPeer;
         }
@@ -295,7 +301,7 @@ class Worker {
         reply.dst = kCoordinatorNode;
         reply.correlation = f.correlation;
         reply.payload_bytes = payload.size();
-        send_or_close(c, reply, payload);
+        send_frame(c, reply, payload);
         return;
       }
       case FrameType::kStatsScrapeRequest: {
@@ -313,7 +319,7 @@ class Worker {
         reply.dst = c.peer;
         reply.correlation = f.correlation;
         reply.payload_bytes = payload.size();
-        send_or_close(c, reply, payload);
+        send_frame(c, reply, payload);
         return;
       }
       case FrameType::kShutdown: {
@@ -326,7 +332,7 @@ class Worker {
         ack.src = opt_.node;
         ack.dst = kCoordinatorNode;
         ack.correlation = f.correlation;
-        send_or_close(c, ack, {});
+        send_frame(c, ack);
         running_ = false;
         return;
       }
@@ -353,44 +359,22 @@ class Worker {
         return;
       }
     }
-    try {
-      send_frame(*out, f, {});
-    } catch (const SocketError&) {
-      close_conn(*out);
-      try {
-        out = dial_peer(f.dst, Millis(1000));
-        send_frame(*out, f, {});
-      } catch (const SocketError&) {
-        nack_to_coordinator(f, NackReason::kPeerUnreachable);
-        return;
-      }
-    }
-    // Retransmits (coordinator ack timeout) ship again but are not
-    // re-counted: correlation ids are globally monotonic and serial.
-    if (f.correlation > relayed_corr_max_) {
-      relayed_corr_max_ = f.correlation;
-      auto& counts = ledger_.relayed[static_cast<std::size_t>(f.kind)];
-      counts.messages += 1;
-      counts.bytes += kFrameSize + f.payload_bytes;
-    }
-    pending_[f.correlation] = PendingRelay{
-        f.dst, deadline_after(Millis(opt_.relay_ack_timeout_ms))};
+    send_frame(*out, f);
+    auto& counts = ledger_.relayed[static_cast<std::size_t>(f.kind)];
+    counts.messages += 1;
+    counts.bytes += kFrameSize + f.payload_bytes;
+    pending_[f.correlation] =
+        PendingRelay{f, deadline_after(Millis(opt_.relay_ack_timeout_ms))};
   }
 
   /// A peer shipped us a frame addressed to this node: account it into the
   /// delivered ledger and the node-local shard mirror, then acknowledge.
   void deliver(Conn& c, const Frame& f) {
-    const bool duplicate = f.correlation != 0 && f.correlation <= c.last_corr;
-    if (duplicate) {
-      ledger_.duplicates_dropped += 1;
-    } else {
-      c.last_corr = f.correlation;
-      auto& counts = ledger_.delivered[static_cast<std::size_t>(f.kind)];
-      counts.messages += 1;
-      counts.bytes += kFrameSize + f.payload_bytes;
-      apply_mirror(f);
-      emit_span(f);
-    }
+    auto& counts = ledger_.delivered[static_cast<std::size_t>(f.kind)];
+    counts.messages += 1;
+    counts.bytes += kFrameSize + f.payload_bytes;
+    apply_mirror(f);
+    emit_span(f);
     Frame ack;
     ack.type = FrameType::kAck;
     ack.kind = f.kind;
@@ -398,7 +382,7 @@ class Worker {
     ack.dst = f.src;
     ack.object = f.object;
     ack.correlation = f.correlation;
-    send_or_close(c, ack, {});
+    send_frame(c, ack);
   }
 
   /// The node-local mirror of this site's slice of cluster state: what the
@@ -447,7 +431,7 @@ class Worker {
   }
 
   /// An Ack/Nack came back from a peer for a frame we relayed: forward it
-  /// to the coordinator, which owns the retry policy.
+  /// to the coordinator, which collects it at its next drain.
   void resolve_relay(const Frame& f) {
     pending_.erase(f.correlation);
     forward_to_coordinator(f);
@@ -465,27 +449,21 @@ class Worker {
     forward_to_coordinator(nack);
   }
 
-  void nack_pending_to(std::uint32_t peer, NackReason reason) {
-    std::vector<std::uint64_t> corrs;
-    for (const auto& [corr, relay] : pending_)
-      if (relay.dst == peer) corrs.push_back(corr);
-    for (const std::uint64_t corr : corrs) {
-      const PendingRelay relay = pending_.at(corr);
-      pending_.erase(corr);
-      Frame nack;
-      nack.type = FrameType::kNack;
-      nack.flags = static_cast<std::uint8_t>(reason);
-      nack.src = relay.dst;
-      nack.dst = opt_.node;
-      nack.correlation = corr;
-      forward_to_coordinator(nack);
+  void nack_pending_to(std::uint32_t peer) {
+    for (auto it = pending_.begin(); it != pending_.end();) {
+      if (it->second.frame.dst != peer) {
+        ++it;
+        continue;
+      }
+      nack_to_coordinator(it->second.frame, NackReason::kPeerUnreachable);
+      it = pending_.erase(it);
     }
   }
 
   void forward_to_coordinator(const Frame& f) {
     for (auto& c : conns_) {
       if (!c->dead && c->role == ConnRole::kCoordinator) {
-        send_or_close(*c, f, {});
+        send_frame(*c, f);
         return;
       }
     }
@@ -497,39 +475,63 @@ class Worker {
     for (const auto& [corr, relay] : pending_)
       if (relay.deadline <= now) expired.push_back(corr);
     for (const std::uint64_t corr : expired) {
-      const PendingRelay relay = pending_.at(corr);
+      nack_to_coordinator(pending_.at(corr).frame, NackReason::kTimeout);
       pending_.erase(corr);
-      Frame nack;
-      nack.type = FrameType::kNack;
-      nack.flags = static_cast<std::uint8_t>(NackReason::kTimeout);
-      nack.src = relay.dst;
-      nack.dst = opt_.node;
-      nack.correlation = corr;
-      forward_to_coordinator(nack);
     }
   }
 
   // --- sending ----------------------------------------------------------
 
+  /// Queue `f` on `c`; the bytes go out when the poll pass ends.  Without
+  /// a `payload`, the frame carries zeros: modeled payloads have sizes, not
+  /// contents, and the kernel carries exactly what the model charges.
   void send_frame(Conn& c, const Frame& f,
-                  std::span<const std::byte> payload) {
+                  std::span<const std::byte> payload = {}) {
+    if (!payload.empty() && payload.size() != f.payload_bytes)
+      throw Error("wire: payload size does not match frame header");
     const std::array<std::byte, kFrameSize> header = encode_frame(f);
-    write_full(c.fd, header);
-    if (!payload.empty()) {
-      write_full(c.fd, payload);
-      if (payload.size() != f.payload_bytes)
-        throw Error("wire: payload size does not match frame header");
-    } else if (f.payload_bytes > 0) {
-      // Modeled payloads have sizes, not contents: ship zero-filled bytes
-      // so the kernel carries exactly what the analytic model charges.
-      static const std::array<std::byte, 64 * 1024> zeros{};
-      std::uint64_t left = f.payload_bytes;
-      while (left > 0) {
-        const std::size_t n =
-            static_cast<std::size_t>(std::min<std::uint64_t>(left,
-                                                             zeros.size()));
-        write_full(c.fd, std::span<const std::byte>(zeros.data(), n));
-        left -= n;
+    c.out.insert(c.out.end(), header.begin(), header.end());
+    if (payload.empty())
+      c.out.resize(c.out.size() + f.payload_bytes);
+    else
+      c.out.insert(c.out.end(), payload.begin(), payload.end());
+  }
+
+  /// Hand as much of `c`'s queued output to the kernel as it takes without
+  /// blocking.  Returns false when the connection is broken.
+  bool flush(Conn& c) {
+    while (c.has_output()) {
+      const ssize_t n =
+          ::send(c.fd.get(), c.out.data() + c.out_off,
+                 c.out.size() - c.out_off, MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n > 0) {
+        c.out_off += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && errno == EINTR) continue;
+      return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+    }
+    c.out.clear();
+    c.out_off = 0;
+    return true;
+  }
+
+  /// Once per poll pass: every connection's output in as few writes as the
+  /// kernel allows.  Output a full socket does not take waits for POLLOUT,
+  /// so a worker never blocks on a peer that is itself blocked writing.
+  void flush_all() {
+    for (auto& c : conns_)
+      if (!c->dead && !flush(*c)) close_conn(*c);
+  }
+
+  /// After Shutdown: hand the rest of the output (the Shutdown ack among
+  /// it) to the kernel before the process exits.
+  void flush_before_exit() {
+    const auto deadline = deadline_after(Millis(1000));
+    for (auto& c : conns_) {
+      while (!c->dead && flush(*c) && c->has_output()) {
+        pollfd p{c->fd.get(), POLLOUT, 0};
+        if (::poll(&p, 1, millis_until(deadline)) <= 0) break;
       }
     }
   }
@@ -558,7 +560,6 @@ class Worker {
             r.bytes;
       }
     }
-    counters["wire.duplicates_dropped"] = ledger_.duplicates_dropped;
     counters["wire.locks_granted"] = ledger_.locks_granted;
     counters["wire.locks_released"] = ledger_.locks_released;
     counters["wire.gdo_requests_served"] = ledger_.gdo_requests_served;
@@ -573,20 +574,10 @@ class Worker {
     return os.str();
   }
 
-  void send_or_close(Conn& c, const Frame& f,
-                     std::span<const std::byte> payload) {
-    try {
-      send_frame(c, f, payload);
-    } catch (const SocketError&) {
-      close_conn(c);
-    }
-  }
-
   WorkerOptions opt_;
   Fd listen_;
   std::vector<std::unique_ptr<Conn>> conns_;
   std::map<std::uint64_t, PendingRelay> pending_;
-  std::uint64_t relayed_corr_max_ = 0;
   WorkerLedger ledger_;
   std::ofstream spans_;
   std::uint64_t span_seq_ = 0;

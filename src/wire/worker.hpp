@@ -17,11 +17,13 @@
 //   - every accepted inbound connection,
 //   - every outbound peer connection (acks to our relays come back here).
 // Connections identify themselves with a Hello frame; the coordinator's
-// Hello carries src = kCoordinatorNode.  Frames can fragment arbitrarily on
-// the stream, so each connection keeps a reassembly buffer; page payloads
-// are counted and discarded without buffering (the simulation's page
-// contents stay in the coordinator — the worker carries the bytes, which is
-// what the model charges).
+// Hello carries src = kCoordinatorNode.  Outgoing frames are queued per
+// connection and flushed once per poll pass without blocking, so a burst
+// of relays or acks costs one write per connection, not one per frame.
+// Frames can fragment arbitrarily on the stream, so each connection keeps
+// a reassembly buffer; page payloads are counted and discarded without
+// buffering (the simulation's page contents stay in the coordinator — the
+// worker carries the bytes, which is what the model charges).
 #pragma once
 
 #include <cstdint>

@@ -168,7 +168,6 @@ TEST(WireLedgerTest, SerializeParseRoundTrip) {
     l.delivered[k] = {k * 3 + 1, k * 100 + 7};
     l.relayed[k] = {k * 2, k * 50};
   }
-  l.duplicates_dropped = 5;
   l.locks_granted = 11;
   l.locks_released = 10;
   l.gdo_requests_served = 42;

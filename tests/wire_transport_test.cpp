@@ -7,6 +7,7 @@
 // search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -60,7 +61,7 @@ TEST(WireTransportTest, ExecutesRealWorkAcrossProcesses) {
   EXPECT_GT(cluster.stats().total().messages, 0u);
 }
 
-TEST(WireTransportTest, GoldenCountersMatchInProcess) {
+WorkloadSpec golden_spec() {
   WorkloadSpec spec;
   spec.num_objects = 6;
   spec.num_transactions = 25;
@@ -68,14 +69,22 @@ TEST(WireTransportTest, GoldenCountersMatchInProcess) {
   spec.max_depth = 2;
   spec.child_probability = 0.4;
   spec.seed = 0x517E;
-  const Workload workload(spec);
+  return spec;
+}
+
+/// The golden-counter gate for one socket family: accounted traffic of a
+/// wire run must be bit-identical per kind to the in-process run.
+void expect_golden_counters(bool tcp) {
+  const Workload workload(golden_spec());
 
   ClusterConfig inproc_cfg;
   inproc_cfg.nodes = 3;
   Cluster inproc(inproc_cfg);
   const auto inproc_results = inproc.execute(workload.instantiate(inproc));
 
-  Cluster wired(wire_config(3));
+  ClusterConfig wired_cfg = wire_config(3);
+  wired_cfg.wire.tcp = tcp;
+  Cluster wired(wired_cfg);
   const auto wired_results = wired.execute(workload.instantiate(wired));
 
   ASSERT_EQ(inproc_results.size(), wired_results.size());
@@ -98,6 +107,113 @@ TEST(WireTransportTest, GoldenCountersMatchInProcess) {
         << to_string(kind);
   }
   EXPECT_TRUE(validate_quiescent(wired).empty());
+  EXPECT_TRUE(wire_backend(wired).ledger_complete());
+}
+
+TEST(WireTransportTest, GoldenCountersMatchInProcess) {
+  expect_golden_counters(/*tcp=*/false);
+}
+
+TEST(WireTransportTest, GoldenCountersMatchInProcessOverTcp) {
+  expect_golden_counters(/*tcp=*/true);
+}
+
+TEST(WireTransportTest, NothingOutstandingAfterEachExecute) {
+  // Acks come back from several destination workers in any order.  Every
+  // batch must still end with each shipped frame acknowledged, no reply
+  // left over, and the ledger cross-check holding (execute would throw).
+  for (const bool batch : {false, true}) {
+    ClusterConfig cfg = wire_config(4);
+    cfg.net.batch_messages = batch;
+    Cluster cluster(cfg);
+    const wire::WireTransport& wt = wire_backend(cluster);
+    const auto requests = Workload(golden_spec()).instantiate(cluster);
+    for (int round = 0; round < 3; ++round) {
+      (void)cluster.execute(requests);
+      EXPECT_EQ(wt.deferred_pending(), 0u) << "batch=" << batch;
+      EXPECT_EQ(wt.unmatched_replies(), 0u) << "batch=" << batch;
+      wire::KindCounts shipped;
+      for (const wire::KindCounts& c : wt.shipped()) {
+        shipped.messages += c.messages;
+        shipped.bytes += c.bytes;
+      }
+      EXPECT_EQ(shipped, wt.gathered().delivered_total()) << "batch=" << batch;
+    }
+  }
+}
+
+/// Samples the unacked window of every worker connection at each send.
+class WindowProbe final : public MessageProbe {
+ public:
+  explicit WindowProbe(const wire::WireTransport& wt) : wt_(wt) {}
+  void on_transport_message(const WireMessage&) override {
+    for (std::uint32_t k = 0; k < wt_.num_nodes(); ++k)
+      peak = std::max(peak, wt_.deferred_pending(k));
+  }
+  std::size_t peak = 0;
+
+ private:
+  const wire::WireTransport& wt_;
+};
+
+TEST(WireTransportTest, UnackedFramesStayWithinTheWindow) {
+  Cluster cluster(wire_config(3));
+  const wire::WireTransport& wt = wire_backend(cluster);
+  WindowProbe probe(wt);
+  cluster.transport().set_probe(&probe);
+  WorkloadSpec spec = golden_spec();
+  spec.num_transactions = 60;
+  (void)cluster.execute(Workload(spec).instantiate(cluster));
+  cluster.transport().set_probe(nullptr);
+
+  // The batch shipped more frames than one window holds, the window filled
+  // (frames did not wait for their acks) and never overflowed, and the
+  // ledger cross-check at batch end held.
+  EXPECT_GT(cluster.stats().total().messages, 3 * wire::kMaxUnackedFrames);
+  EXPECT_EQ(probe.peak, wire::kMaxUnackedFrames);
+  EXPECT_TRUE(wt.ledger_complete());
+  EXPECT_EQ(wt.deferred_pending(), 0u);
+}
+
+TEST(WireTransportTest, KillRightAfterABurstLosesNoShippedFrame) {
+  WireConfig cfg;
+  cfg.enabled = true;
+#ifdef LOTEC_WORKER_BIN
+  cfg.worker_path = LOTEC_WORKER_BIN;
+#endif
+  wire::WireTransport t(4, NetworkConfig{}, cfg);
+  const NodeId victim(3);
+  // A burst from every worker, much of it to the victim and some of it
+  // carrying page payloads, with the acks still in flight at the kill.
+  std::uint64_t sent = 0;
+  for (int i = 0; i < 40; ++i) {
+    for (std::uint32_t src = 0; src < 3; ++src) {
+      const NodeId from(src);
+      const NodeId to = i % 2 == 0 ? victim : NodeId((src + 1) % 3);
+      t.send(WireMessage{MessageKind::kPageFetchReply, from, to, ObjectId(7),
+                         static_cast<std::uint64_t>(4096 * (i % 3))});
+      ++sent;
+    }
+  }
+  EXPECT_GT(t.deferred_pending(), 0u);
+  // The kill collects every ack first: nothing shipped before it is lost,
+  // so no NodeUnreachable surfaces for those frames.
+  EXPECT_NO_THROW(t.set_node_failed(victim, true));
+  EXPECT_EQ(t.deferred_pending(), 0u);
+  std::uint64_t shipped = 0;
+  for (const wire::KindCounts& c : t.shipped()) shipped += c.messages;
+  EXPECT_EQ(shipped, sent);
+  EXPECT_EQ(t.supervisor().kills(), 1u);
+
+  // The respawned victim takes traffic again, from every peer.
+  t.set_node_failed(victim, false);
+  for (std::uint32_t src = 0; src < 3; ++src)
+    t.send(WireMessage{MessageKind::kLockAcquireRequest, NodeId(src), victim,
+                       ObjectId(7), 0});
+  EXPECT_NO_THROW(t.on_batch_complete());
+  EXPECT_FALSE(t.ledger_complete());
+  EXPECT_EQ(t.worker_ledgers()[victim.value()].delivered_total().messages, 3u);
+  EXPECT_EQ(t.unmatched_replies(), 0u);
 }
 
 TEST(WireTransportTest, GatheredLedgersAccountEveryShippedFrame) {
@@ -122,8 +238,8 @@ TEST(WireTransportTest, GatheredLedgersAccountEveryShippedFrame) {
   EXPECT_GT(shipped_total.messages, 0u);
   EXPECT_EQ(shipped_total.messages, delivered_total.messages);
   EXPECT_EQ(shipped_total.bytes, delivered_total.bytes);
-  // Retransmission dedup never fired on a clean local socket run.
-  EXPECT_EQ(wt.gathered().duplicates_dropped, 0u);
+  // Every ack matched exactly one shipped frame.
+  EXPECT_EQ(wt.unmatched_replies(), 0u);
 }
 
 TEST(WireTransportTest, ManualFailoverKillsTheRealWorker) {
