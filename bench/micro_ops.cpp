@@ -11,7 +11,6 @@
 #include "common/flat_map.hpp"
 #include "gdo/gdo_service.hpp"
 #include "page/undo_log.hpp"
-#include "ring/hash_ring.hpp"
 #include "runtime/cluster.hpp"
 
 namespace lotec {
@@ -195,45 +194,6 @@ void BM_UnorderedMapLookup(benchmark::State& state) {
   table_lookup<std::unordered_map<ObjectId, std::uint64_t>>(state);
 }
 BENCHMARK(BM_UnorderedMapLookup)->Arg(16)->Arg(256)->Arg(4096);
-
-/// Directory placement: consistent-hash ring owner lookup (binary search
-/// over member tokens, PROTOCOL.md §15) vs the static map's hash-mod
-/// placement (what home_of computes).  Arg = cluster size; the ring runs
-/// the production 16-tokens-per-member geometry, so the search covers
-/// 16*Arg tokens.  The delta is the per-request price of elasticity when
-/// the ring knob is on.
-void BM_RingLookup(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  HashRing ring(/*seed=*/99, /*virtual_nodes=*/16);
-  for (std::size_t i = 0; i < n; ++i)
-    ring.add_node(NodeId(static_cast<std::uint32_t>(i)));
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ring.owner_of(ObjectId(id)));
-    id += 7;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_RingLookup)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_StaticHashLookup(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  // home_of's placement: one 64-bit mix, one modulo.
-  const auto mix64 = [](std::uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  };
-  std::uint64_t id = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(NodeId(static_cast<std::uint32_t>(
-        mix64(id) % n)));
-    id += 7;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_StaticHashLookup)->Arg(4)->Arg(16)->Arg(64);
 
 /// Attempt-scoped scratch allocation: the undo log's byte-record pattern —
 /// a burst of small variable-size buffers that all die together.  Arena

@@ -192,9 +192,10 @@ ModeOutcome run_mode(const Workload& workload, const Options& opt,
 
   // Open-loop dispatch: roots arrive at t_i = i / rate; they are admitted
   // in waves of max_active_families so the scheduler keeps its usual
-  // concurrency, and each wave is dispatched no earlier than its first
-  // root's arrival time.  The wave partition is time-independent, so the
-  // logical schedule (and all gated counters) never depends on the pacing.
+  // concurrency, and each wave is dispatched no earlier than its last
+  // root's arrival time, so no root is served before it arrives.  The wave
+  // partition is time-independent, so the logical schedule (and all gated
+  // counters) never depends on the pacing.
   const std::size_t wave = std::max<std::size_t>(1, cfg.max_active_families);
   ModeOutcome out;
   out.sojourn_us.reserve(requests.size());
@@ -203,7 +204,7 @@ ModeOutcome run_mode(const Workload& workload, const Options& opt,
   for (std::size_t begin = 0; begin < requests.size(); begin += wave) {
     const std::size_t end = std::min(begin + wave, requests.size());
     if (opt.arrival_rate > 0) {
-      const double due_s = static_cast<double>(begin) / opt.arrival_rate;
+      const double due_s = static_cast<double>(end - 1) / opt.arrival_rate;
       const auto due = bench_start + std::chrono::duration_cast<
                                          std::chrono::steady_clock::duration>(
                                          std::chrono::duration<double>(due_s));
@@ -339,7 +340,9 @@ int emit_tail(bench::BenchJson& json, const ModeOutcome& m) {
   return failures;
 }
 
-void report(const std::string& label, const ModeOutcome& m) {
+/// Print one mode's summary line.  Returns 1 when a sojourn is negative (a
+/// root finished before its scheduled arrival: the pacing is broken), else 0.
+int report(const std::string& label, const ModeOutcome& m) {
   std::cout << label << ": " << m.committed << " committed in "
             << m.elapsed_seconds << " s ("
             << (m.elapsed_seconds > 0 ? m.committed / m.elapsed_seconds : 0)
@@ -349,6 +352,14 @@ void report(const std::string& label, const ModeOutcome& m) {
             << percentile(m.sojourn_us, 50) << "/"
             << percentile(m.sojourn_us, 99) << "/"
             << percentile(m.sojourn_us, 99.9) << " us\n";
+  const double earliest =
+      m.sojourn_us.empty()
+          ? 0.0
+          : *std::min_element(m.sojourn_us.begin(), m.sojourn_us.end());
+  if (earliest >= 0.0) return 0;
+  std::cerr << "FAIL [" << label << "]: a root finished " << -earliest
+            << " us before its scheduled arrival (negative sojourn)\n";
+  return 1;
 }
 
 /// The batching contract, checked per transport.  Returns the number of
@@ -398,12 +409,12 @@ int main(int argc, char** argv) {
   const ModeOutcome off =
       run_mode(workload, opt, false, false, "", 0.0, false, opt.timeseries,
                opt.timeseries ? opt.timeseries_jsonl : std::string());
-  report("inproc batch=off", off);
+  int failures = report("inproc batch=off", off);
   const ModeOutcome on = run_mode(workload, opt, true, false, "", 0.0, false,
                                   opt.timeseries);
-  report("inproc batch=on ", on);
+  failures += report("inproc batch=on ", on);
 
-  int failures = check_pair("inproc", off, on, opt.min_savings);
+  failures += check_pair("inproc", off, on, opt.min_savings);
 
   bench::BenchJson json("throughput");
   emit_row(json, "inproc_batch_off", off);
@@ -427,10 +438,10 @@ int main(int argc, char** argv) {
     if (!worker_path.empty()) {
       const ModeOutcome woff = run_mode(workload, opt, false, true,
                                         worker_path);
-      report("wire   batch=off", woff);
+      failures += report("wire   batch=off", woff);
       const ModeOutcome won = run_mode(workload, opt, true, true,
                                        worker_path);
-      report("wire   batch=on ", won);
+      failures += report("wire   batch=on ", won);
       failures += check_pair("wire", woff, won, opt.min_savings);
       // The wire transport must account the same logical traffic as the
       // in-process one — the walltime bench's cross-transport gate, upheld
@@ -451,10 +462,10 @@ int main(int argc, char** argv) {
     // same outcomes, strictly less lock traffic, snapshot reads happening.
     const ModeOutcome roff = run_mode(workload, opt, false, false, "",
                                       opt.read_fraction, /*mv_read=*/false);
-    report("readfrac mv=off ", roff);
+    failures += report("readfrac mv=off ", roff);
     const ModeOutcome ron = run_mode(workload, opt, false, false, "",
                                      opt.read_fraction, /*mv_read=*/true);
-    report("readfrac mv=on  ", ron);
+    failures += report("readfrac mv=on  ", ron);
     if (ron.committed != roff.committed) {
       std::cerr << "FAIL [readfrac]: mv_read changed outcomes ("
                 << ron.committed << " vs " << roff.committed << ")\n";

@@ -136,26 +136,6 @@ class CheckSink : public MessageProbe {
   /// `node` crashed; `crash_count` is its post-increment epoch.
   virtual void on_node_crash(NodeId /*node*/, std::uint64_t /*crash_count*/) {}
   virtual void on_node_restart(NodeId /*node*/) {}
-
-  // -- elastic directory (consistent-hash ring) ---------------------------
-  /// Ring membership changed: `node` joined (or left) and the placement
-  /// epoch advanced to `epoch`.
-  virtual void on_ring_change(std::uint64_t /*epoch*/, NodeId /*node*/,
-                              bool /*joined*/) {}
-  /// The entry of `object` moved from `from` to `to` under placement epoch
-  /// `epoch` (migration pump or on-demand pull).
-  virtual void on_shard_move(ObjectId /*object*/, NodeId /*from*/,
-                             NodeId /*to*/, std::uint64_t /*epoch*/) {}
-  /// `node` served a directory request for `object` as the *unfenced* owner
-  /// under placement epoch `epoch` (failover serves are not reported — they
-  /// are fenced by the crash epoch instead).  The shard-ownership oracle
-  /// flags two distinct unfenced servers for one entry.
-  virtual void on_shard_serve(ObjectId /*object*/, NodeId /*node*/,
-                              std::uint64_t /*epoch*/) {}
-  /// A request from `requester` hit fenced ex-owner `stale` and was
-  /// redirected to the current owner (both messages charged).
-  virtual void on_shard_redirect(ObjectId /*object*/, NodeId /*stale*/,
-                                 NodeId /*requester*/) {}
 };
 
 }  // namespace lotec

@@ -505,65 +505,4 @@ void FanoutSink::on_node_restart(NodeId node) {
   for (CheckSink* s : sinks_) s->on_node_restart(node);
 }
 
-void FanoutSink::on_ring_change(std::uint64_t epoch, NodeId node,
-                                bool joined) {
-  for (CheckSink* s : sinks_) s->on_ring_change(epoch, node, joined);
-}
-
-void FanoutSink::on_shard_move(ObjectId object, NodeId from, NodeId to,
-                               std::uint64_t epoch) {
-  for (CheckSink* s : sinks_) s->on_shard_move(object, from, to, epoch);
-}
-
-void FanoutSink::on_shard_serve(ObjectId object, NodeId node,
-                                std::uint64_t epoch) {
-  for (CheckSink* s : sinks_) s->on_shard_serve(object, node, epoch);
-}
-
-void FanoutSink::on_shard_redirect(ObjectId object, NodeId stale,
-                                   NodeId requester) {
-  for (CheckSink* s : sinks_) s->on_shard_redirect(object, stale, requester);
-}
-
-void RingOwnershipOracle::on_ring_change(std::uint64_t epoch, NodeId /*node*/,
-                                         bool /*joined*/) {
-  if (epoch <= ring_epoch_)
-    flag("ring epoch went backwards: " + std::to_string(ring_epoch_) +
-         " -> " + std::to_string(epoch));
-  ring_epoch_ = epoch;
-}
-
-void RingOwnershipOracle::on_shard_move(ObjectId object, NodeId from,
-                                        NodeId to, std::uint64_t epoch) {
-  ++moves_;
-  if (epoch != ring_epoch_)
-    flag("object " + std::to_string(object.value()) +
-         " migrated under stale placement epoch " + std::to_string(epoch) +
-         " (ring is at " + std::to_string(ring_epoch_) + ")");
-  if (from == to)
-    flag("object " + std::to_string(object.value()) +
-         " 'migrated' from node " + std::to_string(from.value()) +
-         " to itself");
-  const auto it = owner_.find(object.value());
-  if (it != owner_.end() && from.valid() && it->second != from.value())
-    flag("object " + std::to_string(object.value()) + " migrated from node " +
-         std::to_string(from.value()) + " which does not own it (owner: " +
-         std::to_string(it->second) + ")");
-  owner_[object.value()] = to.value();
-}
-
-void RingOwnershipOracle::on_shard_serve(ObjectId object, NodeId node,
-                                         std::uint64_t epoch) {
-  ++serves_;
-  if (epoch > ring_epoch_)
-    flag("object " + std::to_string(object.value()) +
-         " served under future placement epoch " + std::to_string(epoch));
-  const auto [it, inserted] = owner_.emplace(object.value(), node.value());
-  if (!inserted && it->second != node.value())
-    flag("object " + std::to_string(object.value()) +
-         " served unfenced by node " + std::to_string(node.value()) +
-         " while node " + std::to_string(it->second) +
-         " owns it — two unfenced servers for one entry");
-}
-
 }  // namespace lotec::check

@@ -226,38 +226,6 @@ class CacheEpochOracle final : public OracleBase {
   std::map<std::uint64_t, std::map<std::uint32_t, LockMode>> live_;
 };
 
-/// Shard-ownership safety for the elastic directory (PROTOCOL.md §15): at
-/// no point may two unfenced nodes serve the same entry.  Ownership is
-/// event-sourced from on_shard_move (and the first serve, which fixes the
-/// initial residency); every later unfenced serve must come from the entry's
-/// recorded owner, and a move must actually change nodes while the ring is
-/// at the epoch the migrator claims.
-class RingOwnershipOracle final : public OracleBase {
- public:
-  [[nodiscard]] const char* name() const noexcept override {
-    return "ring-ownership";
-  }
-  [[nodiscard]] std::optional<Violation> finish() override {
-    return violation_;
-  }
-
-  void on_ring_change(std::uint64_t epoch, NodeId node, bool joined) override;
-  void on_shard_move(ObjectId object, NodeId from, NodeId to,
-                     std::uint64_t epoch) override;
-  void on_shard_serve(ObjectId object, NodeId node,
-                      std::uint64_t epoch) override;
-
-  [[nodiscard]] std::uint64_t moves() const noexcept { return moves_; }
-  [[nodiscard]] std::uint64_t serves() const noexcept { return serves_; }
-
- private:
-  /// Owner per object value, as established by moves / first serves.
-  std::map<std::uint64_t, std::uint32_t> owner_;
-  std::uint64_t ring_epoch_ = 0;
-  std::uint64_t moves_ = 0;
-  std::uint64_t serves_ = 0;
-};
-
 /// Multiplexes the cluster's single CheckSink slot across the oracles and
 /// feeds the active strategy.  Owns nothing.
 class FanoutSink final : public CheckSink {
@@ -302,13 +270,6 @@ class FanoutSink final : public CheckSink {
   void on_cache_drop(NodeId site, ObjectId object) override;
   void on_node_crash(NodeId node, std::uint64_t crash_count) override;
   void on_node_restart(NodeId node) override;
-  void on_ring_change(std::uint64_t epoch, NodeId node, bool joined) override;
-  void on_shard_move(ObjectId object, NodeId from, NodeId to,
-                     std::uint64_t epoch) override;
-  void on_shard_serve(ObjectId object, NodeId node,
-                      std::uint64_t epoch) override;
-  void on_shard_redirect(ObjectId object, NodeId stale,
-                         NodeId requester) override;
 
  private:
   std::vector<CheckSink*> sinks_;

@@ -64,17 +64,6 @@ FaultEngine::FaultEngine(const FaultConfig& config, Transport& transport,
               "FaultEvent: kind '" + std::string(to_string(*ev.on_kind)) +
               "' is modeled reliable and cannot be dropped");
         break;
-      case FaultAction::kRingLeave:
-      case FaultAction::kRingJoin:
-        if (!gdo_.ring_enabled())
-          throw UsageError(
-              "FaultEvent: ring-leave/ring-join needs the elastic directory "
-              "(gdo.ring.enabled)");
-        if (ev.target != FaultTarget::kFixed || !in_range(ev.node))
-          throw UsageError(
-              "FaultEvent: ring membership change needs a fixed in-range "
-              "node");
-        break;
     }
   }
 }
@@ -183,17 +172,6 @@ bool FaultEngine::fire(const FaultEvent& ev, const WireMessage& m) {
     }
     case FaultAction::kDropMessage:
       return true;
-    case FaultAction::kRingLeave:
-    case FaultAction::kRingJoin: {
-      // Membership only flips here; the shards move at the next migration
-      // pump (or on demand).  A no-op change (already absent/present, or
-      // the last member leaving) is silently skipped.
-      const bool joined = ev.action == FaultAction::kRingJoin;
-      if (!gdo_.ring_set_member(target, joined)) return false;
-      trace_.push_back({clock_, ev.action, target, m.kind, m.object});
-      mark();
-      return false;
-    }
   }
   return false;
 }

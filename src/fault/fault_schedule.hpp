@@ -28,9 +28,6 @@ enum class FaultAction : std::uint8_t {
   kPartitionStart,  ///< cut the links between two node groups
   kPartitionHeal,   ///< restore the cut links
   kDropMessage,     ///< kill exactly the triggering message
-  kRingLeave,       ///< elastic directory: node leaves the placement ring
-                    ///< (stays up; its shards migrate to the survivors)
-  kRingJoin,        ///< elastic directory: node (re)joins the placement ring
 };
 
 [[nodiscard]] constexpr const char* to_string(FaultAction a) noexcept {
@@ -40,8 +37,6 @@ enum class FaultAction : std::uint8_t {
     case FaultAction::kPartitionStart: return "partition";
     case FaultAction::kPartitionHeal: return "heal";
     case FaultAction::kDropMessage: return "drop";
-    case FaultAction::kRingLeave: return "ring-leave";
-    case FaultAction::kRingJoin: return "ring-join";
   }
   return "?";
 }
@@ -104,14 +99,6 @@ struct FaultConfig {
     for (const FaultEvent& e : events)
       if (e.action == FaultAction::kCrashNode ||
           e.action == FaultAction::kRestartNode)
-        return true;
-    return false;
-  }
-
-  [[nodiscard]] bool has_ring_events() const noexcept {
-    for (const FaultEvent& e : events)
-      if (e.action == FaultAction::kRingLeave ||
-          e.action == FaultAction::kRingJoin)
         return true;
     return false;
   }
@@ -182,33 +169,6 @@ inline FaultConfig chaos(NodeId first, NodeId second, std::uint64_t seed,
   cfg.events.insert(cfg.events.end(), more.events.begin(), more.events.end());
   cfg.seed = seed;
   cfg.drop_probability = drop;
-  return cfg;
-}
-
-/// Rebalance chaos: `cycles` leave/join cycles over the given victims, one
-/// window each, starting at `first_tick`.  Each cycle removes a node from
-/// the placement ring mid-run (its shards migrate out under load) and
-/// re-admits it a window later (shards migrate back).  Victims wrap, so
-/// three cycles over two nodes exercise a repeat offender.
-inline FaultConfig rebalance(const std::vector<NodeId>& victims,
-                             std::size_t cycles, std::uint64_t first_tick = 40,
-                             std::uint64_t window = 80) {
-  FaultConfig cfg;
-  std::uint64_t tick = first_tick;
-  for (std::size_t c = 0; c < cycles; ++c) {
-    const NodeId victim = victims[c % victims.size()];
-    FaultEvent leave;
-    leave.action = FaultAction::kRingLeave;
-    leave.at_tick = tick;
-    leave.node = victim;
-    FaultEvent join;
-    join.action = FaultAction::kRingJoin;
-    join.at_tick = tick + window;
-    join.node = victim;
-    cfg.events.push_back(leave);
-    cfg.events.push_back(join);
-    tick += 2 * window;
-  }
   return cfg;
 }
 

@@ -30,114 +30,6 @@ GdoService::GdoService(Transport& transport, GdoConfig config,
     metrics = owned_metrics_.get();
   }
   stats_.resolve(*metrics);
-  ring_stats_.resolve(*metrics);
-  if (config_.ring.enabled) {
-    if (config_.ring.mirror_group == 0 ||
-        config_.ring.mirror_group >= partitions_.size())
-      throw UsageError(
-          "GdoService: ring.mirror_group must lie in [1, nodes-1]; got " +
-          std::to_string(config_.ring.mirror_group) + " with " +
-          std::to_string(partitions_.size()) + " nodes");
-    ring_ = std::make_unique<RingState>();
-    HashRing initial(config_.ring.seed, config_.ring.virtual_nodes);
-    for (std::size_t n = 0; n < partitions_.size(); ++n)
-      initial.add_node(NodeId(static_cast<std::uint32_t>(n)));
-    ring_->history.push_back(std::move(initial));
-    ring_->view.assign(partitions_.size(), 0);
-  }
-}
-
-NodeId GdoService::placement_of(ObjectId id) const {
-  if (ring_ == nullptr) return home_of(id);
-  return current_ring().owner_of(id);
-}
-
-NodeId GdoService::resident_of(ObjectId id) const {
-  if (ring_ == nullptr) return home_of(id);
-  const auto it = ring_->resident.find(id);
-  if (it == ring_->resident.end()) return current_ring().owner_of(id);
-  return NodeId(it->second);
-}
-
-std::uint64_t GdoService::ring_epoch() const {
-  if (ring_ == nullptr) return 0;
-  return ring_->epoch;
-}
-
-std::vector<NodeId> GdoService::ring_members() const {
-  if (ring_ == nullptr) return {};
-  return current_ring().members();
-}
-
-std::size_t GdoService::pending_migrations() const {
-  if (ring_ == nullptr) return 0;
-  return ring_->pending.size();
-}
-
-std::vector<NodeId> GdoService::failover_chain(ObjectId id) const {
-  std::vector<NodeId> chain;
-  const std::size_t n = partitions_.size();
-  if (ring_ != nullptr) {
-    const NodeId resident = resident_of(id);
-    for (const NodeId cand :
-         current_ring().successors(id, current_ring().num_members()))
-      if (cand != resident) chain.push_back(cand);
-    return chain;
-  }
-  const NodeId home = home_of(id);
-  chain.reserve(n - 1);
-  for (std::size_t k = 1; k < n; ++k)
-    chain.push_back(NodeId(static_cast<std::uint32_t>(
-        (home.value() + k) % n)));
-  return chain;
-}
-
-std::vector<NodeId> GdoService::mirror_targets(ObjectId id,
-                                               NodeId serving) const {
-  std::vector<NodeId> targets;
-  if (ring_ == nullptr) {
-    const NodeId mirror = mirror_of(id);
-    if (mirror != serving) targets.push_back(mirror);
-    return targets;
-  }
-  // k distinct successors of the object's ring position, skipping the node
-  // that serves the entry itself (during migration the resident can sit in
-  // the owner's successor list).
-  for (const NodeId cand :
-       current_ring().successors(id, config_.ring.mirror_group + 1)) {
-    if (cand == serving) continue;
-    targets.push_back(cand);
-    if (targets.size() == config_.ring.mirror_group) break;
-  }
-  return targets;
-}
-
-bool GdoService::ring_set_member(NodeId node, bool joined) {
-  if (ring_ == nullptr)
-    throw UsageError("GdoService: ring membership change without gdo.ring "
-                     "enabled");
-  if (!node.valid() || node.value() >= partitions_.size())
-    throw UsageError("GdoService: ring member out of range");
-  HashRing next = current_ring();
-  if (joined) {
-    if (!next.add_node(node)) return false;
-  } else {
-    if (next.num_members() <= 1 || !next.remove_node(node)) return false;
-  }
-  ring_->history.push_back(std::move(next));
-  ++ring_->epoch;
-  ring_stats_.changes->add();
-  // Re-derive the migration queue: exactly the entries whose residency no
-  // longer matches the new placement (the minimal set, by ring
-  // monotonicity), ascending id for a deterministic pump order.
-  ring_->pending.clear();
-  for (const auto& [id, res] : ring_->resident)
-    if (current_ring().owner_of(id).value() != res)
-      ring_->pending.push_back(id);
-  std::sort(ring_->pending.begin(), ring_->pending.end(),
-            [](ObjectId a, ObjectId b) { return a.value() < b.value(); });
-  if (check_ != nullptr) check_->on_ring_change(ring_->epoch, node, joined);
-  return true;
 }
 
 NodeId GdoService::home_of(ObjectId id) const noexcept {
@@ -150,199 +42,7 @@ NodeId GdoService::mirror_of(ObjectId id) const noexcept {
                                            partitions_.size()));
 }
 
-namespace {
-
-/// Wire payload of a whole entry handoff: lock record + page map + the
-/// holder/waiter transaction lists (same unit costs as a grant).
-std::uint64_t entry_wire_bytes(const GdoEntry& e) noexcept {
-  std::uint64_t txns = 0;
-  for (const auto& [fam, h] : e.holders) txns += h.txns.size();
-  for (const WaiterFamily& w : e.waiters) txns += w.txns.size();
-  return wire::kLockRecordBytes + e.page_map.wire_bytes() +
-         txns * wire::kTxnNodePairBytes;
-}
-
-}  // namespace
-
-bool GdoService::migrate_entry(ObjectId id) {
-  const auto res = ring_->resident.find(id);
-  if (res == ring_->resident.end()) return true;  // never registered
-  const NodeId from(res->second);
-  const NodeId to = current_ring().owner_of(id);
-  if (from == to) return true;  // a later change re-owned it back
-  if (!transport_.reachable(to)) return false;  // target down: stay queued
-
-  // Directory-lane span: migration is environment work, not a family's.
-  ScopedSpan span(tracer_, SpanPhase::kShardMigrate, 0, to.value(),
-                  id.value());
-  GdoEntry moved;
-  bool have_copy = false;
-  if (transport_.reachable(from)) {
-    Partition& src = partitions_[from.value()];
-    const auto it = src.entries.find(id);
-    if (it != src.entries.end()) {
-      moved = it->second;
-      have_copy = true;
-    }
-  }
-  NodeId source = from;
-  if (!have_copy) {
-    // Source down (or wiped by a crash): recover the newest surviving
-    // mirror copy from any quorum survivor, preferring the chain head on a
-    // version tie (lock-state changes do not bump the version counter).
-    for (const NodeId cand : failover_chain(id)) {
-      if (cand == to || !transport_.reachable(cand)) continue;
-      const Partition& part = partitions_[cand.value()];
-      const auto it = part.mirrors.find(id);
-      if (it == part.mirrors.end()) continue;
-      if (!have_copy ||
-          it->second.version_counter > moved.version_counter) {
-        moved = it->second;
-        source = cand;
-        have_copy = true;
-      }
-    }
-    // The target's own mirror map may hold the newest copy (free to adopt).
-    const Partition& part = partitions_[to.value()];
-    const auto it = part.mirrors.find(id);
-    if (it != part.mirrors.end() &&
-        (!have_copy || it->second.version_counter > moved.version_counter)) {
-      moved = it->second;
-      source = to;
-      have_copy = true;
-    }
-    if (!have_copy) return false;  // nothing recoverable yet: stay queued
-  }
-
-  try {
-    transport_.send({MessageKind::kShardMigrateRequest, to, source, id,
-                     wire::kLockRecordBytes});
-    transport_.send({MessageKind::kShardMigrateReply, source, to, id,
-                     entry_wire_bytes(moved)});
-  } catch (const Error&) {
-    return false;  // an endpoint died at this tick: the entry stays put
-  }
-
-  // Handoff applied as one unit against crash events, like every directory
-  // mutation: erase at the source, install at the target, re-mirror.
-  FaultAtomicSection atomic(transport_.fault_hooks());
-  if (source == from && transport_.reachable(from))
-    partitions_[from.value()].entries.erase(id);
-  partitions_[to.value()].entries[id] = moved;
-  ring_->resident[id] = to.value();
-  ring_stats_.migrations->add();
-  if (check_ != nullptr) check_->on_shard_move(id, from, to, ring_->epoch);
-  // Refresh the new owner's mirror group and retire every other copy: the
-  // fenced ex-owner's mirrors freeze the moment the shard moves, and a
-  // later rebuild must not resurrect one.
-  replicate(id, moved);
-  std::vector<NodeId> keep = mirror_targets(id, to);
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    const NodeId cand(static_cast<std::uint32_t>(p));
-    if (cand == to) continue;
-    if (std::find(keep.begin(), keep.end(), cand) != keep.end()) continue;
-    Partition& part = partitions_[p];
-    part.mirrors.erase(id);
-  }
-  return true;
-}
-
-std::size_t GdoService::pump_migrations(std::size_t budget) {
-  if (ring_ == nullptr || budget == 0) return 0;
-  std::size_t moved = 0;
-  // Entries that refused to move this pump (unreachable endpoint); skipped
-  // for the rest of the pump and retried on the next one.
-  std::vector<std::uint64_t> blocked;
-  for (std::size_t round = 0; round < budget; ++round) {
-    ObjectId next;
-    // Pick the first movable entry (ascending id = deterministic order;
-    // migrate_entry edits the pending list, so no cursor survives it).
-    bool found = false;
-    for (const ObjectId id : ring_->pending) {
-      if (std::find(blocked.begin(), blocked.end(), id.value()) !=
-          blocked.end())
-        continue;
-      next = id;
-      found = true;
-      break;
-    }
-    if (!found) break;
-    if (migrate_entry(next)) {
-      ++moved;
-      std::erase(ring_->pending, next);
-    } else {
-      blocked.push_back(next.value());
-    }
-  }
-  return moved;
-}
-
-void GdoService::drain_migrations() {
-  if (ring_ == nullptr) return;
-  for (;;) {
-    const std::size_t pending = ring_->pending.size();
-    if (pending == 0) return;
-    if (pump_migrations(pending) == 0) return;  // stuck: nothing reachable
-  }
-}
-
-void GdoService::ring_catch_up(ObjectId id) {
-  if (ring_ == nullptr) return;
-  const bool queued = std::binary_search(
-      ring_->pending.begin(), ring_->pending.end(), id,
-      [](ObjectId a, ObjectId b) { return a.value() < b.value(); });
-  if (!queued) return;
-  // Priority pull: the operation needs this shard at its true owner now.
-  if (migrate_entry(id)) {
-    ring_stats_.pulls->add();
-    std::erase(ring_->pending, id);
-  }
-}
-
-void GdoService::ring_prep_request(ObjectId id, NodeId requester,
-                                   MessageKind kind) {
-  if (ring_ == nullptr) return;
-  ring_catch_up(id);
-  NodeId believed;
-  bool stale = false;
-  std::uint64_t& view = ring_->view[requester.value()];
-  if (view != ring_->epoch) {
-    believed = ring_->history[view].owner_of(id);
-    view = ring_->epoch;
-    stale = true;
-  }
-  if (!stale) return;
-  const NodeId actual = resident_of(id);
-  // The stale view only costs messages when it would have misrouted this
-  // request to a live fenced ex-owner; a down node or a correct guess is
-  // caught by the ordinary routing.
-  if (believed == actual || believed == requester) return;
-  if (!transport_.reachable(believed)) return;
-  transport_.send({kind, requester, believed, id, wire::kLockRecordBytes});
-  transport_.send({MessageKind::kShardRedirect, believed, requester, id,
-                   wire::kLockRecordBytes});
-  if (tracer_ != nullptr)
-    tracer_->instant(SpanPhase::kShardRedirect, 0, believed.value(),
-                     id.value());
-  ring_stats_.redirects->add();
-  if (check_ != nullptr) check_->on_shard_redirect(id, believed, requester);
-}
-
-void GdoService::note_serve(ObjectId id, Route r) {
-  if (ring_ == nullptr || check_ == nullptr || r.failover) return;
-  check_->on_shard_serve(id, NodeId(static_cast<std::uint32_t>(r.partition)),
-                         ring_->epoch);
-}
-
 GdoService::Route GdoService::route(ObjectId id) const {
-  if (ring_ != nullptr) {
-    const NodeId resident = resident_of(id);
-    if (transport_.reachable(resident)) return {resident.value(), false};
-    if (config_.replicate)
-      for (const NodeId cand : failover_chain(id))
-        if (transport_.reachable(cand)) return {cand.value(), true};
-    throw NodeUnreachable(resident);
-  }
   const NodeId home = home_of(id);
   if (transport_.reachable(home)) return {home.value(), false};
   if (config_.replicate) {
@@ -373,7 +73,7 @@ GdoEntry& GdoService::find_serving(FlatMap<ObjectId, GdoEntry>& map,
       // The surviving chain node has no copy of this entry (yet): the
       // object's directory data is temporarily unavailable, not misused.
       // Callers treat this like the home being down and retry.
-      const NodeId down = ring_ != nullptr ? resident_of(id) : home_of(id);
+      const NodeId down = home_of(id);
       throw NodeUnreachable(down, down);
     }
     throw UsageError(std::string("GdoService::") + op + ": unknown object " +
@@ -537,14 +237,7 @@ void GdoService::revoke_conflicting_cached(ObjectId id, GdoEntry& e,
 void GdoService::register_object(ObjectId id, std::size_t num_pages,
                                  NodeId creator) {
   if (num_pages == 0) throw UsageError("GdoService: object with zero pages");
-  const NodeId home = placement_of(id);
-  // Ring mode: the new entry starts resident at its placement owner (under
-  // failover registration the residency still names the down owner — the
-  // mirror chain serves until it returns, exactly like the static home).
-  const auto note_resident = [&] {
-    if (ring_ == nullptr) return;
-    ring_->resident[id] = home.value();
-  };
+  const NodeId home = home_of(id);
   FaultAtomicSection atomic(transport_.fault_hooks());
   if (!transport_.reachable(home) && config_.replicate &&
       transport_.fault_hooks() != nullptr) {
@@ -563,7 +256,6 @@ void GdoService::register_object(ObjectId id, std::size_t num_pages,
     e.num_pages = num_pages;
     e.page_map = PageMap(num_pages, creator);
     e.caching_sites.insert(creator);
-    note_resident();
     replicate_failover(id, e, serving);
     return;
   }
@@ -576,19 +268,16 @@ void GdoService::register_object(ObjectId id, std::size_t num_pages,
   e.num_pages = num_pages;
   e.page_map = PageMap(num_pages, creator);
   e.caching_sites.insert(creator);
-  note_resident();
   replicate(id, e);
 }
 
 AcquireResult GdoService::acquire(ObjectId id, const TxnId& txn,
                                   NodeId requester, LockMode mode) {
-  ring_prep_request(id, requester, MessageKind::kLockAcquireRequest);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "acquire");
-  note_serve(id, r);
   const FamilyId fam = txn.family;
 
   transport_.send({MessageKind::kLockAcquireRequest, requester, serving, id,
@@ -817,13 +506,11 @@ Lsn GdoService::apply_release(ObjectId id, GdoEntry& e, FamilyId family,
 ReleaseResult GdoService::release_family(ObjectId id, FamilyId family,
                                          NodeId node,
                                          const ReleaseInfo* info) {
-  ring_prep_request(id, node, MessageKind::kLockReleaseRequest);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "release_family");
-  note_serve(id, r);
 
   const std::uint64_t records = info ? info->record_count() : 0;
   transport_.send({MessageKind::kLockReleaseRequest, node, serving, id,
@@ -961,14 +648,12 @@ void GdoService::grant_waiters(ObjectId id, GdoEntry& e, NodeId serving,
 }
 
 std::vector<Grant> GdoService::cancel_waiter(ObjectId id, FamilyId family) {
-  ring_catch_up(id);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   FaultAtomicSection atomic(transport_.fault_hooks());
   GdoEntry& e = find_serving(map, id, r, "cancel_waiter");
-  note_serve(id, r);
   std::erase_if(e.waiters,
                 [&](const WaiterFamily& w) { return w.family == family; });
   std::vector<Grant> wakeups;
@@ -979,13 +664,11 @@ std::vector<Grant> GdoService::cancel_waiter(ObjectId id, FamilyId family) {
 }
 
 bool GdoService::retain_release(ObjectId id, FamilyId family, NodeId node) {
-  ring_catch_up(id);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "retain_release");
-  note_serve(id, r);
   const auto hit = e.holders.find(family);
   if (hit == e.holders.end()) return false;
   // Retention must never starve a queued family: with anyone waiting the
@@ -1024,13 +707,11 @@ std::optional<LockMode> GdoService::local_regrant(ObjectId id,
                                                   const TxnId& txn,
                                                   NodeId node,
                                                   LockMode wanted) {
-  ring_catch_up(id);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "local_regrant");
-  note_serve(id, r);
   const std::size_t i = e.cached_index(node);
   if (i == static_cast<std::size_t>(-1)) return std::nullopt;
   const CachedHolder c = e.cached[i];
@@ -1058,13 +739,11 @@ std::optional<LockMode> GdoService::local_regrant(ObjectId id,
 }
 
 void GdoService::forget_cached(ObjectId id, NodeId node) {
-  ring_catch_up(id);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "forget_cached");
-  note_serve(id, r);
   const std::size_t i = e.cached_index(node);
   if (i == static_cast<std::size_t>(-1)) return;
   FaultAtomicSection atomic(transport_.fault_hooks());
@@ -1076,13 +755,11 @@ void GdoService::forget_cached(ObjectId id, NodeId node) {
 void GdoService::flush_cached(
     ObjectId id, NodeId node,
     const std::vector<std::pair<PageIndex, Lsn>>& records, Lsn advance_to) {
-  ring_prep_request(id, node, MessageKind::kLockReleaseRequest);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   GdoEntry& e = find_serving(map, id, r, "flush_cached");
-  note_serve(id, r);
   // The deferred release finally goes on the wire, at the same cost it
   // would have had at root-commit time.
   transport_.send(
@@ -1104,13 +781,11 @@ void GdoService::flush_cached(
 }
 
 PageMap GdoService::lookup_page_map(ObjectId id, NodeId requester) {
-  ring_prep_request(id, requester, MessageKind::kGdoLookupRequest);
   const Route r = route(id);
   const NodeId serving(static_cast<std::uint32_t>(r.partition));
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
   const GdoEntry& e = find_serving(map, id, r, "lookup_page_map");
-  note_serve(id, r);
   transport_.send({MessageKind::kGdoLookupRequest, requester, serving, id,
                    wire::kLockRecordBytes});
   ScopedServeSpan serve(tracer_, SpanPhase::kGdoServe, serving.value(),
@@ -1150,7 +825,6 @@ std::vector<NodeId> GdoService::caching_sites(ObjectId id) const {
 }
 
 void GdoService::note_caching_site(ObjectId id, NodeId node) {
-  ring_catch_up(id);
   const Route r = route(id);
   Partition& part = partitions_[r.partition];
   auto& map = r.failover ? part.mirrors : part.entries;
@@ -1221,31 +895,6 @@ std::vector<ObjectId> GdoService::objects_homed_at(NodeId node) const {
 
 void GdoService::replicate(ObjectId id, const GdoEntry& entry) {
   if (!config_.replicate) return;
-  if (ring_ != nullptr) {
-    // Quorum mirror group: sync the mutation to the k ring successors and
-    // count acks.  k+1 copies exist (owner + group); the mutation is
-    // quorum-committed on ceil((k+1)/2) acks — the owner's own copy always
-    // counts, so k=1 reproduces the classic best-effort single mirror.
-    const NodeId serving = resident_of(id);
-    const std::size_t required = (config_.ring.mirror_group + 2) / 2;
-    std::size_t acks = 1;  // the serving owner's copy
-    for (const NodeId t : mirror_targets(id, serving)) {
-      if (!transport_.reachable(t)) continue;
-      try {
-        transport_.send({MessageKind::kGdoReplicaSync, serving, t, id,
-                         wire::kLockRecordBytes + entry.page_map.wire_bytes()});
-        transport_.send({MessageKind::kGdoReplicaAck, t, serving, id, 0});
-      } catch (const Error&) {
-        continue;  // endpoint crashed mid-sync: one ack short
-      }
-      Partition& tp = partitions_[t.value()];
-      tp.mirrors[id] = entry;
-      ++acks;
-    }
-    if (acks >= required) ring_stats_.quorum_commits->add();
-    else ring_stats_.quorum_degrades->add();
-    return;
-  }
   const NodeId home = home_of(id);
   const NodeId mirror = mirror_of(id);
   if (mirror == home) return;
@@ -1268,25 +917,6 @@ void GdoService::replicate(ObjectId id, const GdoEntry& entry) {
 void GdoService::replicate_failover(ObjectId id, const GdoEntry& entry,
                                     NodeId serving) {
   if (!config_.replicate || transport_.fault_hooks() == nullptr) return;
-  if (ring_ != nullptr) {
-    // Copy the mutation one hop further down the object's ring chain (the
-    // chain already excludes the dead resident), so a second failure still
-    // finds a complete entry.
-    for (const NodeId cand : failover_chain(id)) {
-      if (cand == serving || !transport_.reachable(cand)) continue;
-      try {
-        transport_.send({MessageKind::kGdoReplicaSync, serving, cand, id,
-                         wire::kLockRecordBytes + entry.page_map.wire_bytes()});
-        transport_.send({MessageKind::kGdoReplicaAck, cand, serving, id, 0});
-      } catch (const Error&) {
-        continue;  // candidate crashed mid-sync: try the next survivor
-      }
-      Partition& cpart = partitions_[cand.value()];
-      cpart.mirrors[id] = entry;
-      return;
-    }
-    return;
-  }
   const std::size_t n = partitions_.size();
   for (std::size_t k = 1; k < n; ++k) {
     const NodeId cand(
@@ -1324,7 +954,6 @@ std::size_t GdoService::rebuild_node(NodeId node) {
     throw UsageError("GdoService: node id out of range");
   if (!config_.replicate) return 0;
   Partition& mine = partitions_[node.value()];
-  if (ring_ != nullptr) return rebuild_node_ring(node);
 
   // 1. Recover the entries homed here from surviving mirror copies anywhere
   //    in the chain (re-mirroring may have moved them past home+1).  Newest
@@ -1438,91 +1067,6 @@ std::size_t GdoService::rebuild_node(NodeId node) {
         continue;
       }
       mine.mirrors[id] = std::move(c.entry);
-    }
-  }
-  return rebuilt;
-}
-
-std::size_t GdoService::rebuild_node_ring(NodeId node) {
-  Partition& mine = partitions_[node.value()];
-
-  // 1. Re-adopt the entries resident here from the surviving mirror copies.
-  //    Newest version wins; on a tie the copy earliest in the object's ring
-  //    chain (the canonical first mirror) beats a failover copy further out.
-  struct Candidate {
-    GdoEntry entry;
-    NodeId holder;
-    std::size_t chain_pos = 0;
-  };
-  std::map<ObjectId, Candidate> best;
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    const NodeId holder(static_cast<std::uint32_t>(p));
-    if (holder == node || !transport_.reachable(holder)) continue;
-    // Copy this holder's candidate entries, then rank them by chain
-    // position.
-    std::vector<std::pair<ObjectId, GdoEntry>> copies;
-    const Partition& part = partitions_[p];
-    for (const auto& [id, e] : part.mirrors)
-      if (resident_of(id) == node) copies.emplace_back(id, e);
-    for (auto& [id, e] : copies) {
-      const std::vector<NodeId> chain = failover_chain(id);
-      const auto at = std::find(chain.begin(), chain.end(), holder);
-      const std::size_t pos = static_cast<std::size_t>(
-          at == chain.end() ? chain.size() : at - chain.begin());
-      const auto it = best.find(id);
-      if (it == best.end() ||
-          e.version_counter > it->second.entry.version_counter ||
-          (e.version_counter == it->second.entry.version_counter &&
-           pos < it->second.chain_pos))
-        best[id] = {std::move(e), holder, pos};
-    }
-  }
-  std::size_t rebuilt = 0;
-  for (auto& [id, c] : best) {
-    try {
-      transport_.send({MessageKind::kGdoRebuildRequest, node, c.holder, id,
-                       wire::kLockRecordBytes});
-      transport_.send({MessageKind::kGdoRebuildReply, c.holder, node, id,
-                       wire::kLockRecordBytes + c.entry.page_map.wire_bytes()});
-    } catch (const Error&) {
-      continue;  // source died mid-rebuild; the entry stays missing for now
-    }
-    mine.entries[id] = c.entry;
-    // Refresh the quorum group from the adopted copy and retire every other
-    // chain copy so a later rebuild cannot resurrect one.
-    replicate(id, c.entry);
-    const std::vector<NodeId> keep = mirror_targets(id, node);
-    for (std::size_t p = 0; p < partitions_.size(); ++p) {
-      const NodeId cand(static_cast<std::uint32_t>(p));
-      if (cand == node) continue;
-      if (std::find(keep.begin(), keep.end(), cand) != keep.end()) continue;
-      Partition& part = partitions_[p];
-      part.mirrors.erase(id);
-    }
-    ++rebuilt;
-  }
-
-  // 2. Refresh the mirror copies this node hosts inside other residents'
-  //    quorum groups, so it counts toward their quorums again.
-  for (std::size_t p = 0; p < partitions_.size(); ++p) {
-    const NodeId res(static_cast<std::uint32_t>(p));
-    if (res == node || !transport_.reachable(res)) continue;
-    std::vector<std::pair<ObjectId, GdoEntry>> copies;
-    const Partition& part = partitions_[p];
-    for (const auto& [id, e] : part.entries) copies.emplace_back(id, e);
-    for (auto& [id, e] : copies) {
-      const std::vector<NodeId> group = mirror_targets(id, res);
-      if (std::find(group.begin(), group.end(), node) == group.end())
-        continue;
-      try {
-        transport_.send({MessageKind::kGdoRebuildRequest, node, res, id,
-                         wire::kLockRecordBytes});
-        transport_.send({MessageKind::kGdoRebuildReply, res, node, id,
-                         wire::kLockRecordBytes + e.page_map.wire_bytes()});
-      } catch (const Error&) {
-        continue;
-      }
-      mine.mirrors[id] = std::move(e);
     }
   }
   return rebuilt;

@@ -28,39 +28,14 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stats_macros.hpp"
-#include "ring/hash_ring.hpp"
 
 namespace lotec {
 
 class CheckSink;
 
-/// Elastic-directory knobs (PROTOCOL.md §15).  Off by default: the static
-/// partition map and single synchronous mirror are used and the wire
-/// traffic stays bit-identical to a build without the subsystem.
-struct RingConfig {
-  /// Place directory entries with a consistent-hash ring instead of the
-  /// static `mix(id) % nodes` map, and migrate shards online when the
-  /// membership changes.
-  bool enabled = false;
-  /// Virtual nodes (tokens) minted per member; more tokens = tighter
-  /// balance, linearly larger lookup table.
-  std::size_t virtual_nodes = 16;
-  /// Mirror-group size k: entry mutations replicate to the k ring
-  /// successors and commit on ceil((k+1)/2) acks.  1 reproduces the
-  /// classic single-mirror behaviour (quorum of 1).
-  std::size_t mirror_group = 1;
-  /// Token placement seed (independent of the cluster seed so placement
-  /// can be varied without perturbing workloads).
-  std::uint64_t seed = 0x10 + 0xEC;
-  /// Entries migrated per background pump step (each family attempt pumps
-  /// once); on-demand pulls are not budgeted.
-  std::size_t migration_batch = 2;
-};
-
 struct GdoConfig {
   /// Mirror every entry on a second node and fail over to it.  A cluster
-  /// switches it on itself when node faults or the elastic directory need
-  /// it (ClusterCore).
+  /// switches it on itself when node faults need it (ClusterCore).
   bool replicate = false;
   /// If true, a read request is queued behind waiting writers even when the
   /// lock is currently read-held (writer fairness).  The paper's Algorithm
@@ -70,9 +45,6 @@ struct GdoConfig {
   /// release; off by default — the paper piggybacks dirty info on a one-way
   /// release message).
   bool release_acks = false;
-  /// Elastic directory: consistent-hash placement, online shard migration,
-  /// quorum mirror groups.
-  RingConfig ring;
 };
 
 enum class AcquireStatus : std::uint8_t { kGranted, kQueued };
@@ -177,17 +149,6 @@ struct CachedFlush {
 // clang-format on
 LOTEC_DEFINE_STATS_STRUCT(GdoStats, LOTEC_GDO_STATS);
 
-// clang-format off
-#define LOTEC_RING_STATS(COUNTER)                      \
-  COUNTER(changes, "ring.changes")                     \
-  COUNTER(migrations, "ring.migrations")               \
-  COUNTER(pulls, "ring.pulls")                         \
-  COUNTER(redirects, "ring.redirects")                 \
-  COUNTER(quorum_commits, "ring.quorum_commits")       \
-  COUNTER(quorum_degrades, "ring.quorum_degrades")
-// clang-format on
-LOTEC_DEFINE_STATS_STRUCT(RingStats, LOTEC_RING_STATS);
-
 class GdoService {
  public:
   /// `metrics` is the cluster-wide registry the directory's tallies
@@ -218,40 +179,6 @@ class GdoService {
 
   [[nodiscard]] NodeId home_of(ObjectId id) const noexcept;
   [[nodiscard]] NodeId mirror_of(ObjectId id) const noexcept;
-
-  // --- elastic directory (consistent-hash ring; PROTOCOL.md §15) ----------
-
-  [[nodiscard]] bool ring_enabled() const noexcept { return ring_ != nullptr; }
-
-  /// Where `id`'s entry is actually served right now: the migrating shard's
-  /// current residency under the ring, or the static home.  Requests route
-  /// here; migration moves residency toward the ring owner.
-  [[nodiscard]] NodeId resident_of(ObjectId id) const;
-
-  /// Current placement epoch (0 until the first membership change).
-  [[nodiscard]] std::uint64_t ring_epoch() const;
-
-  /// Current ring members (ascending node id).  Empty when the ring is off.
-  [[nodiscard]] std::vector<NodeId> ring_members() const;
-
-  /// Entries whose residency still trails the ring owner (migration queue).
-  [[nodiscard]] std::size_t pending_migrations() const;
-
-  /// Apply a membership change: `joined` admits `node` to the ring, else it
-  /// leaves (the node stays up; its shards migrate to the survivors).
-  /// Bumps the placement epoch and enqueues the minimal set of entries the
-  /// change re-owns.  Returns false (and changes nothing) when the change
-  /// is a no-op or would empty the ring.
-  bool ring_set_member(NodeId node, bool joined);
-
-  /// Migrate up to `budget` queued entries to their ring owners (charged as
-  /// kShardMigrateRequest/Reply pairs; entries whose source or target is
-  /// currently unreachable stay queued).  Returns the number moved.
-  std::size_t pump_migrations(std::size_t budget);
-
-  /// Drain the migration queue completely (end-of-batch quiescence; every
-  /// node is reachable again).  Stops early if no entry can make progress.
-  void drain_migrations();
 
   /// Create the directory entry for a new object whose pages all reside at
   /// `creator` (version 0).
@@ -433,58 +360,6 @@ class GdoService {
     FlatMap<ObjectId, GdoEntry> mirrors;
   };
 
-  /// Elastic-directory state, allocated only when config_.ring.enabled —
-  /// the knob-off path never touches it (bit-identity contract).
-  struct RingState {
-    /// Ring per placement epoch: history[e] is the membership a node whose
-    /// view is e believes in (redirect modeling); history.back() == ring.
-    std::vector<HashRing> history;
-    std::uint64_t epoch = 0;
-    /// Last placement epoch each node has observed; a request from a
-    /// stale-view node is charged a misroute + redirect before it reaches
-    /// the current owner.
-    std::vector<std::uint64_t> view;
-    /// Where each registered entry currently lives.
-    FlatMap<ObjectId, std::uint32_t> resident;
-    /// Entries whose residency trails the ring owner, ascending id (the
-    /// deterministic migration order).
-    std::vector<ObjectId> pending;
-  };
-
-  [[nodiscard]] const HashRing& current_ring() const {
-    return ring_->history.back();
-  }
-
-  /// The *target* owner under the current placement (ring owner, or static
-  /// home when the ring is off).  Registration inserts here.
-  [[nodiscard]] NodeId placement_of(ObjectId id) const;
-
-  /// Failover candidates for `id` in preference order (excluding the
-  /// serving owner): ring successors, or home+1.. for the static map.
-  [[nodiscard]] std::vector<NodeId> failover_chain(ObjectId id) const;
-
-  /// Mirror-group targets for a mutation served at `serving`.
-  [[nodiscard]] std::vector<NodeId> mirror_targets(ObjectId id,
-                                                   NodeId serving) const;
-
-  /// Catch-up hook run before an operation on `id` routes: migrates the
-  /// entry on demand when its shard is queued (priority pull).
-  void ring_catch_up(ObjectId id);
-
-  /// ring_catch_up plus stale-view accounting: when `requester` last saw an
-  /// older placement epoch and would have misrouted this request, charge
-  /// the misrouted `kind` plus a kShardRedirect before the real serve.
-  void ring_prep_request(ObjectId id, NodeId requester, MessageKind kind);
-
-  /// Move `id`'s entry to its ring owner now.  Returns false (leaving it
-  /// queued) when the target is unreachable or no copy of the entry is
-  /// currently recoverable.
-  bool migrate_entry(ObjectId id);
-
-  /// rebuild_node(), ring placement: residency replaces the static home and
-  /// per-object ring chains replace the home+k scan.
-  std::size_t rebuild_node_ring(NodeId node);
-
   /// Which partition serves `id` right now (home, or mirror on failover) —
   /// and whether we are in failover.
   struct Route {
@@ -492,9 +367,6 @@ class GdoService {
     bool failover;
   };
   [[nodiscard]] Route route(ObjectId id) const;
-
-  /// Report an unfenced serve to the check sink (ring mode only).
-  void note_serve(ObjectId id, Route r);
 
   GdoEntry& entry_at(Route r, ObjectId id);
   [[nodiscard]] const GdoEntry& entry_at(Route r, ObjectId id) const;
@@ -578,9 +450,6 @@ class GdoService {
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   /// Registry handles.
   GdoStats stats_;
-  RingStats ring_stats_;
-  /// Elastic-directory state; null unless config_.ring.enabled.
-  std::unique_ptr<RingState> ring_;
   /// Global monotone commit tick (mv_read): one per committing family,
   /// allocated at release-stamp time.
   std::uint64_t commit_tick_ = 0;

@@ -48,10 +48,6 @@ enum class MessageKind : std::uint8_t {
   kSnapshotMapReply,     ///< GDO home -> reading site: map copy, no lock taken
   kSnapshotFetchRequest, ///< reading site -> owner site: versioned pages wanted
   kSnapshotFetchReply,   ///< owner site -> reading site: newest-\<=-stamp pages
-  // --- elastic directory (consistent-hash ring extension) ---
-  kShardMigrateRequest,  ///< new owner -> old owner: entry handoff wanted
-  kShardMigrateReply,    ///< old owner -> new owner: entry + page map
-  kShardRedirect,        ///< fenced owner -> requester: shard moved, re-route
 
   kNumKinds  // sentinel
 };
@@ -83,9 +79,6 @@ enum class MessageKind : std::uint8_t {
     case MessageKind::kSnapshotMapReply: return "SnapshotMapReply";
     case MessageKind::kSnapshotFetchRequest: return "SnapshotFetchRequest";
     case MessageKind::kSnapshotFetchReply: return "SnapshotFetchReply";
-    case MessageKind::kShardMigrateRequest: return "ShardMigrateRequest";
-    case MessageKind::kShardMigrateReply: return "ShardMigrateReply";
-    case MessageKind::kShardRedirect: return "ShardRedirect";
     case MessageKind::kNumKinds: break;
   }
   return "?";

@@ -30,8 +30,6 @@ std::string_view to_string(SpanPhase phase) noexcept {
     case SpanPhase::kPageServe: return "page.serve";
     case SpanPhase::kLockGrant: return "lock.grant";
     case SpanPhase::kWireDeliver: return "wire.deliver";
-    case SpanPhase::kShardMigrate: return "shard.migrate";
-    case SpanPhase::kShardRedirect: return "shard.redirect";
     case SpanPhase::kSnapshotMapRound: return "snapshot.map_round";
     case SpanPhase::kSnapshotFetch: return "snapshot.fetch";
     case SpanPhase::kBatchFlush: return "batch.flush";

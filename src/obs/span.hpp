@@ -26,10 +26,6 @@
 //   lock.grant           a queued request waking with a grant (instant)
 //   wire.deliver         a wire-transport worker delivering one frame
 //                        (distributed runs only; emitted by lotec_worker)
-//   shard.migrate        the elastic directory moving one entry to its new
-//                        ring owner (directory lane)
-//   shard.redirect       the directory bouncing a request to the entry's
-//                        new ring owner during migration (instant)
 //   snapshot.map_round   a read-only family refreshing its snapshot page
 //                        map from the directory (mv_read path)
 //   snapshot.fetch       a read-only family fetching committed page
@@ -70,14 +66,12 @@ enum class SpanPhase : std::uint8_t {
   kPageServe,
   kLockGrant,
   kWireDeliver,
-  kShardMigrate,
-  kShardRedirect,
   kSnapshotMapRound,
   kSnapshotFetch,
   kBatchFlush,
 };
 
-inline constexpr std::size_t kNumSpanPhases = 19;
+inline constexpr std::size_t kNumSpanPhases = 17;
 
 [[nodiscard]] std::string_view to_string(SpanPhase phase) noexcept;
 

@@ -17,7 +17,6 @@ std::string_view to_string(TailBucket bucket) noexcept {
     case TailBucket::kUndo: return "undo";
     case TailBucket::kCommitReport: return "commit_report";
     case TailBucket::kSnapshot: return "snapshot";
-    case TailBucket::kRingStall: return "ring_stall";
     case TailBucket::kWire: return "wire";
     case TailBucket::kOther: return "other";
   }
@@ -46,9 +45,6 @@ TailBucket tail_bucket_for(SpanPhase phase) noexcept {
     case SpanPhase::kSnapshotMapRound:
     case SpanPhase::kSnapshotFetch:
       return TailBucket::kSnapshot;
-    case SpanPhase::kShardMigrate:
-    case SpanPhase::kShardRedirect:
-      return TailBucket::kRingStall;
     case SpanPhase::kWireDeliver:
       return TailBucket::kWire;
     case SpanPhase::kFamilyAttempt:

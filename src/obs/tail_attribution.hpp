@@ -4,7 +4,7 @@
 // into per-phase self time.  This module generalizes that decomposition to
 // EVERY root family attempt in a trace: each attempt's sojourn is classified
 // into exclusive phase buckets (lock wait, GDO round, page gather, execute,
-// undo, commit report, snapshot, ring stall, wire, other), and attempts are
+// undo, commit report, snapshot, wire, other), and attempts are
 // then grouped into percentile bands by sojourn so the report can answer
 // "what do the p99.9 outliers spend their time on that the median does not".
 //
@@ -38,13 +38,12 @@ enum class TailBucket : std::uint8_t {
   kUndo,          ///< txn.undo
   kCommitReport,  ///< commit.report
   kSnapshot,      ///< snapshot.map_round / snapshot.fetch (mv_read)
-  kRingStall,     ///< shard.migrate / shard.redirect (elastic directory)
   kWire,          ///< wire.deliver (worker-side frame delivery)
   kOther,         ///< root self time: scheduling, retries, fault events,
                   ///< batch flushes — everything no child span covers
 };
 
-inline constexpr std::size_t kNumTailBuckets = 10;
+inline constexpr std::size_t kNumTailBuckets = 9;
 
 [[nodiscard]] std::string_view to_string(TailBucket bucket) noexcept;
 [[nodiscard]] TailBucket tail_bucket_for(SpanPhase phase) noexcept;

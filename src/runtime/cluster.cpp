@@ -144,10 +144,6 @@ std::vector<TxnResult> Cluster::execute(std::vector<RootRequest> requests) {
   // End-of-batch recovery first: restart every node still down so the
   // cluster is whole for the lock-cache drain and validation.
   if (core_.fault != nullptr) core_.fault->finalize();
-  // Elastic directory: with the cluster whole again, finish every queued
-  // shard migration so the batch ends with each entry at its ring owner
-  // (validate_quiescent checks residency).
-  core_.gdo.drain_migrations();
 
   if (core_.config.lock_cache) {
     // Drain the lock caches: flush every deferred report and return the

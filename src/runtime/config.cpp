@@ -86,56 +86,6 @@ void ClusterConfig::validate() const {
         "injection — batched tails defer their delivery acknowledgement, "
         "which would mask per-message fault verdicts; run faults with "
         "batching off");
-  if (gdo.ring.enabled) {
-    if (nodes < 2)
-      throw UsageError(
-          "ClusterConfig: the elastic directory (gdo.ring) needs at least "
-          "2 nodes (a mirror group must have somewhere to live)");
-    if (gdo.ring.mirror_group == 0 || gdo.ring.mirror_group >= nodes)
-      throw UsageError(
-          "ClusterConfig: gdo.ring.mirror_group must lie in [1, nodes-1]; "
-          "got " + std::to_string(gdo.ring.mirror_group) + " with " +
-          std::to_string(nodes) + " nodes");
-    if (gdo.ring.virtual_nodes == 0)
-      throw UsageError(
-          "ClusterConfig: gdo.ring.virtual_nodes must be >= 1 (a member "
-          "needs at least one token on the ring)");
-    if (wire.enabled)
-      throw UsageError(
-          "ClusterConfig: the elastic directory (gdo.ring) cannot be "
-          "combined with the wire transport (--distributed) — shard "
-          "migration moves directory entries through in-process state the "
-          "worker fleet does not mirror; run --rebalance without "
-          "--distributed");
-    if (mv_read)
-      throw UsageError(
-          "ClusterConfig: the elastic directory (gdo.ring) cannot be "
-          "combined with mv_read — a snapshot reader resolves its map at "
-          "the static home, and a mid-read shard migration would serve it "
-          "two different owners; run one or the other");
-    if (lock_cache)
-      throw UsageError(
-          "ClusterConfig: the elastic directory (gdo.ring) cannot be "
-          "combined with lock_cache — cached-holder markers are leased "
-          "against a fixed serving node and do not survive a shard "
-          "handoff; run one or the other");
-  }
-  for (std::size_t i = 0; i < fault.events.size(); ++i) {
-    const FaultEvent& ev = fault.events[i];
-    if (ev.action != FaultAction::kRingLeave &&
-        ev.action != FaultAction::kRingJoin)
-      continue;
-    if (!gdo.ring.enabled)
-      throw UsageError(
-          "ClusterConfig: fault event #" + std::to_string(i) +
-          " changes ring membership but the elastic directory is off — "
-          "enable gdo.ring.enabled (soak: pass --rebalance)");
-    if (ev.target != FaultTarget::kFixed || !in_cluster(ev.node))
-      throw UsageError(
-          "ClusterConfig: fault event #" + std::to_string(i) +
-          " needs a fixed ring member inside the cluster (nodes 0.." +
-          std::to_string(nodes - 1) + ")");
-  }
   if (wire.enabled) {
     if (schedule_picker)
       throw UsageError(

@@ -62,14 +62,12 @@ class FamilyRunner;
 // clang-format on
 LOTEC_DEFINE_STATS_STRUCT(CoreCounters, LOTEC_CORE_COUNTERS);
 
-/// `cfg` as a cluster runs it: node faults and the elastic directory both
-/// need a replicated directory (directory state must survive its home node;
-/// quorum mirror groups are built on the replication machinery), so either
-/// one switches gdo.replicate on.
+/// `cfg` as a cluster runs it: node faults need a replicated directory
+/// (directory state must survive its home node), so they switch
+/// gdo.replicate on.
 [[nodiscard]] inline ClusterConfig with_required_replication(
     ClusterConfig cfg) {
-  if (cfg.fault.has_node_faults() || cfg.gdo.ring.enabled)
-    cfg.gdo.replicate = true;
+  if (cfg.fault.has_node_faults()) cfg.gdo.replicate = true;
   return cfg;
 }
 

@@ -124,9 +124,6 @@ void FamilyRunner::run() {
       }
       crash_epoch_ = eng->crash_count(node_);
     }
-    // Elastic directory: every attempt advances the background shard
-    // migration by one bounded step (no-op while the ring is off).
-    core_.gdo.pump_migrations(core_.config.gdo.ring.migration_batch);
     if (CheckSink* s = check()) s->on_attempt_start(family_.id());
     committing_ = false;
     scratch_.reset();  // previous attempt's gather scratch dies here
@@ -1088,7 +1085,10 @@ void FamilyRunner::abort_subtree(Transaction& txn) {
     object_maps_.erase(object);
     if (ObjectImage* img = mine.store.find(object)) img->clear_dirty();
     unpin_here(mine, object);
-    items.push_back(ReleaseItem{object, std::nullopt});
+    // A lock re-granted from the site cache still carries the cache entry
+    // and its deferred report: release both with the lock, as release_all
+    // does, or the entry outlives the directory's record of it.
+    items.push_back(make_release_item(object, /*commit=*/false));
   }
   (void)core_.gdo.release_batch(family_.id(), node_, items);
   if (CheckSink* s = check())

@@ -1,6 +1,5 @@
 #include "sim/validate.hpp"
 
-#include <map>
 #include <sstream>
 
 namespace lotec {
@@ -107,41 +106,6 @@ std::vector<std::string> validate_quiescent(Cluster& cluster) {
       oss << "node " << n << " still caches " << node.lock_cache.size()
           << " global lock(s)";
       out.push_back(oss.str());
-    }
-  }
-  // 7. Elastic directory: migrations drained, and every entry is served by
-  // exactly one partition — the one the residency map names (an entry in
-  // two entries maps, or none, means a handoff lost or duplicated it).
-  if (GdoService& gdo = cluster.gdo(); gdo.ring_enabled()) {
-    if (const std::size_t q = gdo.pending_migrations(); q != 0)
-      out.push_back(std::to_string(q) + " shard migration(s) still queued");
-    std::map<std::uint64_t, std::vector<std::size_t>> served;
-    for (std::size_t n = 0; n < cluster.num_nodes(); ++n)
-      for (const ObjectId id :
-           gdo.objects_homed_at(NodeId(static_cast<std::uint32_t>(n))))
-        served[id.value()].push_back(n);
-    for (std::uint64_t i = 0;; ++i) {
-      const ObjectId id(i);
-      try {
-        (void)cluster.meta_of(id);
-      } catch (const UsageError&) {
-        break;
-      }
-      const NodeId res = gdo.resident_of(id);
-      const auto it = served.find(i);
-      std::ostringstream oss;
-      if (it == served.end()) {
-        oss << "object " << i << ": no partition serves its entry "
-            << "(residency says node " << res.value() << ")";
-        out.push_back(oss.str());
-      } else if (it->second.size() != 1 ||
-                 it->second.front() != res.value()) {
-        oss << "object " << i << ": served by partition(s) {";
-        for (std::size_t k = 0; k < it->second.size(); ++k)
-          oss << (k ? ", " : "") << it->second[k];
-        oss << "} but residency names node " << res.value();
-        out.push_back(oss.str());
-      }
     }
   }
   return out;

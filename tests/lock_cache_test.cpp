@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "check/oracles.hpp"
 #include "runtime/cluster.hpp"
 #include "sim/experiment.hpp"
 #include "sim/scenarios.hpp"
@@ -228,6 +229,62 @@ TEST(LockCacheTest, SameSiteRaceKeepsDeferredReport) {
     EXPECT_EQ(cluster.peek<std::int64_t>(obj, "value"), 1);
     for (const auto& v : validate_quiescent(cluster)) ADD_FAILURE() << v;
   }
+}
+
+TEST(LockCacheTest, SubtreeAbortAfterCachedRegrantReleasesTheCacheEntry) {
+  // A child transaction re-grants a lock from its site's cache and then
+  // aborts.  The subtree abort releases the lock, so it must also take the
+  // site's cache entry and publish the deferred report that entry carries;
+  // otherwise the site keeps a cached write lock the directory no longer
+  // records, and a writer at another site is granted with no callback.
+  check::CacheEpochOracle cache_oracle;
+  ClusterConfig cfg = cache_config(true);
+  cfg.check_sink = &cache_oracle;
+  Cluster cluster(cfg);
+  const ClassId counter = cluster.define_class(
+      ClassBuilder("Counter", cfg.page_size)
+          .attribute("value", 8)
+          .method("increment", {"value"}, {"value"},
+                  [](MethodContext& ctx) {
+                    ctx.set<std::int64_t>("value",
+                                          ctx.get<std::int64_t>("value") + 1);
+                  })
+          .method("increment_then_abort", {"value"}, {"value"},
+                  [](MethodContext& ctx) {
+                    ctx.set<std::int64_t>("value",
+                                          ctx.get<std::int64_t>("value") + 1);
+                    ctx.abort();
+                  }));
+  const ObjectId obj = cluster.create_object(counter, NodeId(0));
+  const NodeId a = remote_site(cluster, obj, NodeId(0));
+  const NodeId home = cluster.gdo().home_of(obj);
+  NodeId b;
+  for (std::uint32_t n = 0; n < cluster.num_nodes(); ++n)
+    if (NodeId(n) != home && NodeId(n) != a) b = NodeId(n);
+  const ClassId wrapper_cls = cluster.define_class(
+      ClassBuilder("Wrapper", cfg.page_size)
+          .attribute("tries", 8)
+          .method("nested", {"tries"}, {"tries"},
+                  [obj](MethodContext& ctx) {
+                    EXPECT_FALSE(ctx.invoke(obj, "increment_then_abort"));
+                    ctx.set<std::int64_t>("tries",
+                                          ctx.get<std::int64_t>("tries") + 1);
+                  }));
+  const ObjectId wrapper = cluster.create_object(wrapper_cls, a);
+
+  // One at a time: `a` commits and caches its write lock, a nested family
+  // at `a` re-grants it in a child that aborts, then `b` writes.
+  std::vector<RootRequest> reqs = batch_at(cluster, obj, "increment", 1, a);
+  reqs.push_back(batch_at(cluster, wrapper, "nested", 1, a).front());
+  reqs.push_back(batch_at(cluster, obj, "increment", 1, b).front());
+  for (const TxnResult& r : cluster.execute(std::move(reqs)))
+    EXPECT_TRUE(r.committed);
+
+  EXPECT_EQ(cluster.gdo().cache_regrants(), 1u);
+  EXPECT_EQ(cluster.peek<std::int64_t>(obj, "value"), 2);
+  EXPECT_EQ(cluster.peek<std::int64_t>(wrapper, "tries"), 1);
+  if (const auto v = cache_oracle.finish()) ADD_FAILURE() << v->detail;
+  for (const auto& v : validate_quiescent(cluster)) ADD_FAILURE() << v;
 }
 
 TEST(LockCacheTest, HotSiteWorkloadCutsLockTraffic) {

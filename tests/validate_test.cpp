@@ -155,99 +155,5 @@ TEST(ValidateTest2, DetectsArtificialViolations) {
   EXPECT_FALSE(validate_quiescent(cluster).empty());
 }
 
-// --- elastic-directory knob validation (PROTOCOL.md §15) --------------------
-// The ring composes with most of the stack but not all of it; every illegal
-// combination must die at validate() with a message that names the fix, not
-// surface as a mid-run surprise.
-
-std::string rejection_of(const ClusterConfig& cfg) {
-  try {
-    cfg.validate();
-  } catch (const UsageError& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "config unexpectedly validated";
-  return {};
-}
-
-ClusterConfig ring_cfg() {
-  ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.gdo.ring.enabled = true;
-  return cfg;
-}
-
-TEST(RingValidationTest, AcceptsAWellFormedRingConfig) {
-  EXPECT_NO_THROW(ring_cfg().validate());
-  // Quorum mirror groups are built on replication; the cluster turns it on.
-  const Cluster cluster(ring_cfg());
-  EXPECT_TRUE(cluster.config().gdo.replicate);
-}
-
-TEST(RingValidationTest, RejectsIncompatibleKnobs) {
-  ClusterConfig cfg = ring_cfg();
-  cfg.wire.enabled = true;
-  EXPECT_NE(rejection_of(cfg).find("--distributed"), std::string::npos);
-
-  cfg = ring_cfg();
-  cfg.mv_read = true;
-  EXPECT_NE(rejection_of(cfg).find("mv_read"), std::string::npos);
-
-  cfg = ring_cfg();
-  cfg.lock_cache = true;
-  EXPECT_NE(rejection_of(cfg).find("lock_cache"), std::string::npos);
-}
-
-TEST(RingValidationTest, RejectsDegenerateRingShapes) {
-  ClusterConfig cfg = ring_cfg();
-  cfg.gdo.ring.mirror_group = 0;
-  EXPECT_NE(rejection_of(cfg).find("mirror_group"), std::string::npos);
-
-  cfg = ring_cfg();
-  cfg.gdo.ring.mirror_group = 4;  // == nodes: the group cannot fit
-  EXPECT_NE(rejection_of(cfg).find("mirror_group"), std::string::npos);
-
-  cfg = ring_cfg();
-  cfg.gdo.ring.virtual_nodes = 0;
-  EXPECT_NE(rejection_of(cfg).find("virtual_nodes"), std::string::npos);
-
-  cfg = ring_cfg();
-  cfg.nodes = 1;
-  cfg.gdo.ring.mirror_group = 1;
-  EXPECT_NE(rejection_of(cfg).find("2 nodes"), std::string::npos);
-}
-
-TEST(RingValidationTest, RejectsRingFaultEventsWithoutTheRing) {
-  ClusterConfig cfg;
-  cfg.nodes = 4;
-  cfg.fault = fault_presets::rebalance({NodeId(1)}, 1);
-  EXPECT_NE(rejection_of(cfg).find("--rebalance"), std::string::npos);
-
-  // And with the ring on, the membership events must name a real node.
-  cfg = ring_cfg();
-  cfg.fault = fault_presets::rebalance({NodeId(9)}, 1);
-  EXPECT_NE(rejection_of(cfg).find("ring member"), std::string::npos);
-}
-
-TEST(RingValidationTest, ExperimentOptionsRunTheSameChecks) {
-  // The sim-side options funnel through cluster.validate(), so a tool
-  // passing --rebalance plus an incompatible flag dies identically.
-  ExperimentOptions opt;
-  opt.cluster.nodes = 4;
-  opt.cluster.gdo.ring.enabled = true;
-  EXPECT_NO_THROW(opt.validate());
-
-  opt.cluster.mv_read = true;
-  EXPECT_THROW(opt.validate(), UsageError);
-  opt.cluster.mv_read = false;
-
-  opt.cluster.wire.enabled = true;
-  EXPECT_THROW(opt.validate(), UsageError);
-  opt.cluster.wire.enabled = false;
-
-  opt.cluster.lock_cache = true;
-  EXPECT_THROW(opt.validate(), UsageError);
-}
-
 }  // namespace
 }  // namespace lotec

@@ -14,7 +14,7 @@
 //   lotec_top --jsonl <timeseries.jsonl>
 //       Coordinator file mode: tail the TimeseriesCollector's JSONL stream
 //       (soak/bench --timeseries runs write it) and render per-window
-//       txn/s, p50/p99/p999 and lock/GDO/ring/snapshot counter rates.
+//       txn/s, p50/p99/p999 and lock/GDO/snapshot counter rates.
 //
 // --iterations K bounds the refresh loop (default: run until the source
 // goes away; CI and tests use --iterations 1).  Exit codes: 0 ok, 2 usage,
@@ -246,7 +246,7 @@ int run_jsonl_mode(const Options& opt) {
             << std::setw(10) << "msgs" << std::setw(10) << "txn"
             << std::setw(9) << "p50" << std::setw(9) << "p99" << std::setw(9)
             << "p999" << std::setw(9) << "locks" << std::setw(9) << "gdo"
-            << std::setw(9) << "snap" << std::setw(9) << "ring" << '\n';
+            << std::setw(9) << "snap" << '\n';
   std::uint64_t printed = 0;
   std::string line;
   std::uint64_t idle_rounds = 0;
@@ -285,9 +285,6 @@ int run_jsonl_mode(const Options& opt) {
               << std::setw(9)
               << static_cast<std::uint64_t>(
                      counter_delta(line, "snapshot.reads"))
-              << std::setw(9)
-              << static_cast<std::uint64_t>(
-                     counter_delta(line, "ring.redirects"))
               << '\n'
               << std::flush;
     if (opt.iterations != 0 && ++printed >= opt.iterations) return 0;

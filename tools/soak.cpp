@@ -10,21 +10,8 @@
 // message chaos) through the deterministic fault engine and checks the same
 // invariants after recovery.
 //
-//   soak [iterations=50] [base-seed=1] [--faults] [--rebalance] [--only N]
+//   soak [iterations=50] [base-seed=1] [--faults] [--only N]
 //        [--flight-dump PREFIX] [--transport=wire [--socket-dir DIR]]
-//
-// --rebalance turns every iteration into an elastic-directory chaos run
-// (PROTOCOL.md §15): the consistent-hash ring is on with a randomized
-// geometry (virtual nodes, quorum mirror group), and at least three
-// leave/join membership cycles fire mid-batch, migrating shards under live
-// load.  The full oracle set (serializability, lock discipline, coherence,
-// cache epochs, ring ownership) rides along as the check sink and must
-// finish clean.  Combined with --faults the background message chaos
-// (drop/duplicate/delay) stays, but crash and partition events are
-// stripped: a crash wipes a site's committed state, and the version-based
-// oracles are only sound on rollback-free histories (CoherenceOracle
-// disarms itself on the first crash for the same reason) — membership
-// churn is the chaos under test here, crash recovery has its own soak.
 //
 // --transport=wire runs every iteration on the cross-process wire
 // transport (src/wire): one lotec_worker OS process per node.  Chaos is
@@ -51,7 +38,6 @@
 #include <iostream>
 #include <string>
 
-#include "check/oracles.hpp"
 #include "sim/validate.hpp"
 #include "wire/wire_transport.hpp"
 #include "workload/generator.hpp"
@@ -157,44 +143,6 @@ Draw random_setup(Rng& rng) {
   return d;
 }
 
-/// Constrain one drawn iteration to the elastic directory's envelope and
-/// schedule the membership churn.  Applied AFTER the normal draws (and after
-/// add_random_faults) so the random stream is identical with and without
-/// --rebalance.
-void constrain_for_rebalance(Draw& d, Rng& rng) {
-  d.cfg.mv_read = false;     // ring + snapshot reads are rejected
-  d.cfg.lock_cache = false;  // ring + cached-holder leases are rejected
-  d.cfg.lock_cache_capacity = 0;
-  if (d.cfg.nodes < 4) d.cfg.nodes = 4;  // room for a group and a leaver
-
-  d.cfg.gdo.ring.enabled = true;
-  d.cfg.gdo.ring.virtual_nodes = std::size_t{8} << rng.below(3);  // 8/16/32
-  d.cfg.gdo.ring.mirror_group =
-      1 + rng.below(std::min<std::size_t>(3, d.cfg.nodes - 1));
-  d.cfg.gdo.ring.migration_batch = 1 + rng.below(4);
-
-  // Crash and partition events roll state back (see the header comment);
-  // keep only the delivery-neutral message chaos from --faults.
-  std::erase_if(d.cfg.fault.events, [](const FaultEvent& e) {
-    return e.action != FaultAction::kRingLeave &&
-           e.action != FaultAction::kRingJoin;
-  });
-  d.cfg.fault.drop_probability = 0.0;
-
-  // At least three leave/join cycles over two distinct victims, early
-  // enough that the batch's message stream reaches every event.
-  const NodeId first(static_cast<std::uint32_t>(rng.below(d.cfg.nodes)));
-  const NodeId second((first.value() + 1 + rng.below(d.cfg.nodes - 1)) %
-                      d.cfg.nodes);
-  const FaultConfig churn = fault_presets::rebalance(
-      {first, second}, /*cycles=*/3 + rng.below(2),
-      /*first_tick=*/15 + rng.below(30), /*window=*/25 + rng.below(35));
-  d.cfg.fault.events.insert(d.cfg.fault.events.end(), churn.events.begin(),
-                            churn.events.end());
-  // Enough traffic that the logical clock reaches the whole churn schedule.
-  if (d.spec.num_transactions < 80) d.spec.num_transactions = 80;
-}
-
 /// Constrain one drawn iteration to what the wire transport supports: no
 /// message chaos (drop/duplicate/delay), no drop events — crash/restart and partitions stay, as real process kills.
 /// Applied AFTER the draws so the random stream is identical with and
@@ -231,7 +179,7 @@ bool parse_int(const char* text, int& out) {
 int usage(const std::string& why) {
   std::cerr << "soak: " << why << "\n"
             << "usage: soak [iterations=50] [base-seed=1] [--faults] "
-               "[--rebalance] [--only N]\n"
+               "[--only N]\n"
                "            [--flight-dump PREFIX] [--transport=wire "
                "[--socket-dir DIR]]\n";
   return 2;
@@ -242,7 +190,6 @@ int usage(const std::string& why) {
 int main(int argc, char** argv) {
   bool with_faults = false;
   bool wire_transport = false;
-  bool rebalance = false;
   int only = -1;
   std::string flight_prefix;
   std::string socket_dir;
@@ -254,8 +201,6 @@ int main(int argc, char** argv) {
     const bool has_value = i + 1 < argc;
     if (arg == "--faults") {
       with_faults = true;
-    } else if (arg == "--rebalance") {
-      rebalance = true;
     } else if (arg == "--transport=wire") {
       wire_transport = true;
     } else if (arg == "--only" && has_value) {
@@ -280,18 +225,11 @@ int main(int argc, char** argv) {
       return usage("unexpected argument '" + arg + "'");
     }
   }
-  if (rebalance && wire_transport) {
-    std::cerr << "soak: --rebalance cannot run on --transport=wire (shard "
-                 "migration is in-process state; see ClusterConfig "
-                 "validation)\n";
-    return 2;
-  }
   Rng rng(base_seed);
 
   for (int i = 0; i < iterations; ++i) {
     Draw d = random_setup(rng);
     if (with_faults) add_random_faults(d, rng);
-    if (rebalance) constrain_for_rebalance(d, rng);
     if (wire_transport) {
       constrain_for_wire(d);
       // Pin the worker sockets so `lotec_top --dir <dir> --nodes N` can
@@ -303,22 +241,6 @@ int main(int argc, char** argv) {
     if (!flight_prefix.empty())
       d.cfg.obs.flight_dump = flight_prefix + "." + std::to_string(i) + ".json";
     try {
-      // Rebalance mode runs the full oracle set through the check sink;
-      // the sinks must outlive the cluster.
-      check::SerializabilityOracle ser_oracle;
-      check::LockDisciplineOracle lock_oracle;
-      check::CoherenceOracle coherence_oracle;
-      check::CacheEpochOracle cache_oracle;
-      check::RingOwnershipOracle ring_oracle;
-      check::FanoutSink fanout;
-      if (rebalance) {
-        fanout.add(&ser_oracle);
-        fanout.add(&lock_oracle);
-        fanout.add(&coherence_oracle);
-        fanout.add(&cache_oracle);
-        fanout.add(&ring_oracle);
-        d.cfg.check_sink = &fanout;
-      }
       const Workload workload(d.spec);
       Cluster cluster(d.cfg);
       const auto results =
@@ -338,28 +260,6 @@ int main(int argc, char** argv) {
                   << ", protocol " << to_string(d.cfg.protocol) << "):\n";
         for (const auto& v : violations) std::cerr << "  " << v << "\n";
         return 1;
-      }
-      if (rebalance) {
-        check::OracleBase* oracles[] = {&ser_oracle, &lock_oracle,
-                                        &coherence_oracle, &cache_oracle,
-                                        &ring_oracle};
-        for (check::OracleBase* o : oracles) {
-          if (const auto v = o->finish()) {
-            std::cerr << "iteration " << i << " FAILED (workload seed "
-                      << d.spec.seed << ", cluster seed " << d.cfg.seed
-                      << ", protocol " << to_string(d.cfg.protocol)
-                      << "): oracle " << v->oracle << ": " << v->detail
-                      << "\n";
-            return 1;
-          }
-        }
-        if (cluster.gdo().ring_epoch() == 0) {
-          std::cerr << "iteration " << i << " FAILED (workload seed "
-                    << d.spec.seed << ", cluster seed " << d.cfg.seed
-                    << "): membership churn never fired — the batch's "
-                       "logical clock never reached the schedule\n";
-          return 1;
-        }
       }
       std::cout << "iter " << i << ": " << to_string(d.cfg.protocol) << " "
                 << d.spec.num_transactions << " txns on " << d.cfg.nodes
@@ -396,17 +296,6 @@ int main(int argc, char** argv) {
             return 1;
           }
         }
-      }
-      if (rebalance) {
-        const auto& counters = cluster.observe().metrics().counters();
-        const auto count = [&](const char* key) -> std::uint64_t {
-          const auto it = counters.find(key);
-          return it == counters.end() ? 0 : it->second;
-        };
-        std::cout << " [ring: epoch " << cluster.gdo().ring_epoch() << ", "
-                  << count("ring.migrations") << " migrations, "
-                  << count("ring.redirects") << " redirects, "
-                  << ring_oracle.serves() << " serves checked]";
       }
       std::cout << ", invariants OK\n";
     } catch (const std::exception& e) {
